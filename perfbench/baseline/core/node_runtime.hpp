@@ -1,0 +1,381 @@
+// NodeRuntime: one simulated KNL node.
+//
+// Owns the node's worker threads (coroutines), the MPI thread (dedicated
+// placement) or MPI duty assignment (combined/everywhere), the shared
+// message queues between them, and the node-level collectives used by the
+// GVT algorithms. All timing costs of the message path are charged here:
+//
+//   worker A --[regional_in lock + copy]--> worker B          (same node)
+//   worker A --[mpi_outbox lock]--> MPI thread --isend--> wire
+//        --> MPI thread B --[remote_in lock + copy]--> worker B
+#pragma once
+
+#include <deque>
+#include <memory>
+#include <vector>
+
+#include "cons/clamp.hpp"
+#include "cons/controller.hpp"
+#include "core/config.hpp"
+#include "core/gvt.hpp"
+#include "core/messages.hpp"
+#include "core/recovery.hpp"
+#include "fault/fault_engine.hpp"
+#include "flow/controller.hpp"
+#include "lb/controller.hpp"
+#include "metasim/channel.hpp"
+#include "metasim/process.hpp"
+#include "metasim/sync.hpp"
+#include "net/vmpi.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "pdes/kernel.hpp"
+#include "util/stats.hpp"
+
+namespace cagvt::core {
+
+using Fabric = net::Fabric<NetMsg>;
+
+/// Mutex-protected event queue (regional inboxes, remote inboxes, the
+/// per-node MPI outbox).
+struct SharedQueue {
+  SharedQueue(metasim::Engine& engine, const net::ClusterSpec& spec)
+      : mutex(engine, spec.lock_acquire, spec.lock_handoff) {}
+  metasim::Mutex mutex;
+  std::deque<pdes::Event> items;
+  std::uint64_t total_enqueued = 0;
+};
+
+/// Per-worker GVT bookkeeping shared by all algorithms.
+struct GvtThreadState {
+  pdes::Color color = pdes::Color::kWhite;
+  std::int64_t msgs_sent = 0;  // cumulative off-thread event messages
+  std::int64_t msgs_recv = 0;
+  int iters_since_round = 0;
+  double min_red = pdes::kVtInfinity;  // min recv_ts of red messages sent
+  bool contributed = false;            // this round's Collect done
+  bool adopted = false;                // this round's Broadcast done
+  /// Epoch GVT: the pipelined epoch this worker has joined (its sends are
+  /// tagged epoch % 3 — see core/epoch_gvt.hpp).
+  std::uint64_t epoch = 0;
+  // Snapshot of the decided-event counters at the previous contribution,
+  // for the windowed efficiency estimate CA-GVT adapts on.
+  std::uint64_t last_committed = 0;
+  std::uint64_t last_rolled_back = 0;
+};
+
+struct WorkerCtx {
+  WorkerCtx(NodeRuntime& node_rt, metasim::Engine& engine, const net::ClusterSpec& spec,
+            const pdes::Model& model, const pdes::LpMap& map, int global_worker_idx,
+            pdes::KernelConfig kcfg, bool duty)
+      : node(node_rt),
+        global_worker(global_worker_idx),
+        index_in_node(map.worker_in_node_of(global_worker_idx)),
+        mpi_duty(duty),
+        kernel(model, map, global_worker_idx, kcfg),
+        regional_in(engine, spec),
+        remote_in(engine, spec) {}
+
+  NodeRuntime& node;
+  int global_worker;
+  int index_in_node;
+  /// True for the worker that carries MPI duty in combined/everywhere
+  /// placements (always false with a dedicated MPI thread).
+  bool mpi_duty;
+  pdes::ThreadKernel kernel;
+  SharedQueue regional_in;
+  SharedQueue remote_in;
+  GvtThreadState gvt;
+  std::uint64_t iterations = 0;
+  /// Messages read (counted as received) during a synchronous GVT round
+  /// but not yet handed to the engine — ROSS defers rollback processing
+  /// until the round is over.
+  std::vector<pdes::Event> round_buffer;
+};
+
+/// Two-level reduction/barrier used by the GVT algorithms: a node-level
+/// pthread-style step over all local participants plus an MPI collective
+/// performed by the node's agent. Workers read the global result from
+/// last_sum()/last_min() after their coroutine completes.
+class NodeCollectives {
+ public:
+  NodeCollectives(metasim::Engine& engine, Fabric& fabric, int rank, int parties,
+                  metasim::SimTime node_barrier_cost)
+      : fabric_(fabric),
+        rank_(rank),
+        reduce_sum_(engine, parties, add_i64, 0, node_barrier_cost),
+        reduce_min_(engine, parties, min_f64, pdes::kVtInfinity, node_barrier_cost),
+        entry_barrier_(engine, parties, node_barrier_cost),
+        exit_barrier_(engine, parties, node_barrier_cost) {}
+
+  // Global sum: workers call sum(v), the node's agent calls sum_agent(v).
+  metasim::Process sum(std::int64_t value);
+  metasim::Process sum_agent(std::int64_t value);
+  std::int64_t last_sum() const { return last_sum_; }
+
+  // Global min.
+  metasim::Process min(double value);
+  metasim::Process min_agent(double value);
+  double last_min() const { return last_min_; }
+
+  // Global barrier (node barrier + MPI barrier + node barrier).
+  metasim::Process barrier();
+  metasim::Process barrier_agent();
+
+  /// Total simulated thread-time blocked in the node-level steps (the
+  /// paper's "time in the GVT function" component).
+  metasim::SimTime node_block_time() const {
+    return reduce_sum_.total_block_time() + reduce_min_.total_block_time() +
+           entry_barrier_.total_block_time() + exit_barrier_.total_block_time();
+  }
+
+ private:
+  static std::int64_t add_i64(std::int64_t a, std::int64_t b) { return a + b; }
+  static double min_f64(double a, double b) { return a < b ? a : b; }
+
+  Fabric& fabric_;
+  int rank_;
+  metasim::ReduceBarrier<std::int64_t> reduce_sum_;
+  metasim::ReduceBarrier<double> reduce_min_;
+  metasim::Barrier entry_barrier_;
+  metasim::Barrier exit_barrier_;
+  std::int64_t last_sum_ = 0;
+  double last_min_ = 0;
+};
+
+/// Measurement-only cross-node profiler (an "omniscient observer": it
+/// consumes no simulated time). Tracks the paper's LVT-disparity metric
+/// and the per-round GVT trace.
+class ClusterProfiler {
+ public:
+  void record_lvt(std::uint64_t round, double lvt) {
+    if (lvt == pdes::kVtInfinity) return;
+    if (rounds_.size() <= round) rounds_.resize(round + 1);
+    rounds_[round].add(lvt);
+  }
+
+  void record_gvt(double gvt) { gvt_trace_.push_back(gvt); }
+
+  /// Paper metric: per-round population stddev of LVTs, averaged over
+  /// rounds that saw at least two contributions.
+  double avg_lvt_disparity() const {
+    double total = 0;
+    std::uint64_t n = 0;
+    for (const auto& stat : rounds_) {
+      if (stat.count() < 2) continue;
+      total += stat.stddev_population();
+      ++n;
+    }
+    return n ? total / static_cast<double>(n) : 0.0;
+  }
+
+  const std::vector<double>& gvt_trace() const { return gvt_trace_; }
+
+ private:
+  std::vector<RunningStat> rounds_;
+  std::vector<double> gvt_trace_;
+};
+
+class NodeRuntime {
+ public:
+  /// `faults` may be null (healthy cluster); when set, every CPU cost the
+  /// node charges is scaled by the node's straggler factor and the MPI
+  /// agent honors stall pulses. `owners` is the cluster-wide dynamic owner
+  /// table every routing decision goes through (the identity overlay when
+  /// migration is off); `lb` may be null (no load balancing).
+  NodeRuntime(metasim::Engine& engine, Fabric& fabric, const SimulationConfig& cfg,
+              const pdes::LpMap& map, pdes::OwnerTable& owners, const pdes::Model& model,
+              int node_id, ClusterProfiler& profiler, obs::TraceRecorder& trace,
+              obs::MetricsRegistry& metrics, const fault::FaultEngine* faults = nullptr,
+              RecoveryManager* recovery = nullptr, lb::Controller* lb = nullptr,
+              cons::Controller* cons = nullptr, flow::Controller* flow = nullptr);
+
+  /// Initialize kernels and spawn this node's thread coroutines.
+  void start();
+
+  // --- accessors for the GVT algorithms ---------------------------------
+  metasim::Engine& engine() { return engine_; }
+  Fabric& fabric() { return fabric_; }
+  int rank() const { return node_id_; }
+  const SimulationConfig& cfg() const { return cfg_; }
+  const pdes::LpMap& map() const { return map_; }
+  NodeCollectives& collectives() { return collectives_; }
+  std::vector<std::unique_ptr<WorkerCtx>>& workers() { return workers_; }
+  ClusterProfiler& profiler() { return profiler_; }
+  GvtAlgorithm& gvt() { return *gvt_; }
+  /// Trace recorder / metrics registry for the GVT algorithms' hooks
+  /// (always valid objects; disabled instances ignore every call).
+  obs::TraceRecorder& trace() { return trace_; }
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  /// Null when neither --ckpt-every nor a crash spec is configured.
+  RecoveryManager* recovery() { return recovery_; }
+  /// Null when --lb=off.
+  lb::Controller* lb() { return lb_; }
+  /// Null when --sync=optimistic.
+  cons::Controller* cons() { return cons_; }
+  /// Null when --flow=off.
+  flow::Controller* flow() { return flow_; }
+  const pdes::OwnerTable& owners() const { return owners_; }
+
+  /// A worker adopts a freshly computed GVT: fossil-collect, record the
+  /// profiler samples, stop the node once the horizon is passed. Returns
+  /// the newly committed event count (the caller charges fossil cost).
+  std::uint64_t adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_t round);
+
+  bool stopped() const { return stop_; }
+  double final_gvt() const { return final_gvt_; }
+
+  // --- adaptive-policy throttle (SyncTier::kThrottle, DESIGN §13) --------
+  /// Engage (or slide) the node-wide execution clamp at GVT + width. Called
+  /// by the GVT algorithms when the tiered trigger policy answers
+  /// kThrottle/kSync; workers then process no event past the bound while
+  /// rounds keep running — the local damping that replaces an immediate
+  /// quiesce. Monotone via the shared cons/clamp.hpp rule.
+  void engage_gvt_throttle(double gvt, double width) {
+    if (gvt_throttle_bound_ == pdes::kVtInfinity) {
+      ++gvt_throttle_engagements_;
+      metrics_.counter("gvt.throttle_engagements").inc();
+      gvt_throttle_bound_ = gvt + width;
+    } else {
+      gvt_throttle_bound_ = cons::advance_clamp(gvt_throttle_bound_, gvt, width);
+    }
+  }
+  /// Release the clamp (the policy reached kAsync after its calm window).
+  void release_gvt_throttle() { gvt_throttle_bound_ = pdes::kVtInfinity; }
+  /// Current policy clamp (kVtInfinity = disengaged). Composed with the
+  /// cons window and flow clamp via std::min in worker_main.
+  double gvt_throttle_bound() const { return gvt_throttle_bound_; }
+  std::uint64_t gvt_throttle_engagements() const { return gvt_throttle_engagements_; }
+
+  /// MPI progress: outbox -> wire, wire -> worker remote inboxes, GVT
+  /// tokens -> algorithm. Runs on the dedicated MPI thread or inline on
+  /// the MPI-duty worker.
+  metasim::Process mpi_progress(bool* did_work);
+
+  /// Drain a worker's regional + remote inboxes into its kernel (the
+  /// paper's ReadMessages), charging receive costs and routing cascades.
+  metasim::Process drain_inboxes(WorkerCtx& worker, bool* did_work);
+
+  /// Synchronous-GVT variant of ReadMessages: messages are read and
+  /// counted as received but buffered — no rollback processing happens
+  /// inside the round (matching ROSS). flush_round_buffer() deposits them
+  /// once the round is over.
+  metasim::Process read_messages_deferred(WorkerCtx& worker);
+  metasim::Process flush_round_buffer(WorkerCtx& worker);
+
+  /// Worker's GVT contribution: min over its pending events AND any
+  /// buffered-but-undeposited messages.
+  static double worker_min_ts(WorkerCtx& worker);
+
+  /// Charge the costs of an engine outcome and route its external events.
+  metasim::Process handle_outcome(WorkerCtx& worker, pdes::Outcome outcome);
+
+  /// Checkpoint round, at the quiesced cut (after fossil collection,
+  /// before the round's post-barrier flush): charge the copy cost and
+  /// deposit this worker's slice; the node's last worker also captures the
+  /// transport cursors. The caller MUST hold a global barrier between this
+  /// and any message send, or the transport snapshot would tear.
+  metasim::Process checkpoint_worker(WorkerCtx& worker, std::uint64_t round, double gvt);
+
+  /// Migration round, at the same quiesced cut checkpoint_worker uses
+  /// (after fossil collection and any checkpoint, before the post-round
+  /// barrier + flush): charge this worker's share of the pack/install and
+  /// wire costs, then arrive at the lb fence — the cluster-wide last
+  /// arrival executes the whole batch and bumps the owner-table version.
+  /// The caller MUST hold a global barrier between this and any message
+  /// send so no event is routed while kernels exchange LPs.
+  metasim::Process apply_migrations(WorkerCtx& worker, std::uint64_t round);
+
+  /// Restore round, in place of GVT adoption: rewind this worker to the
+  /// checkpoint being restored. Zeroes the worker's message-counting state
+  /// (the restored cut has no in-flight messages); the node's last worker
+  /// resets the data-plane transport under the round's restore epoch. Same
+  /// barrier obligation as checkpoint_worker.
+  metasim::Process restore_worker(WorkerCtx& worker, std::uint64_t round);
+
+  // --- aggregate results --------------------------------------------------
+  /// Highest MPI queue occupancy (outbox + fabric inbox) seen since the
+  /// last call; consumes the peak. CA-GVT's queue-occupancy trigger.
+  std::uint64_t take_mpi_queue_peak() {
+    const std::uint64_t peak = mpi_queue_peak_;
+    mpi_queue_peak_ = 0;
+    return peak;
+  }
+
+  pdes::KernelStats aggregate_kernel_stats() const;
+  std::uint64_t committed_fingerprint() const;
+  /// Order-independent hash of the node's final LP states (see
+  /// ThreadKernel::state_hash); meaningful after final_commit().
+  std::uint64_t state_hash() const;
+  std::uint64_t regional_msgs() const { return regional_msgs_; }
+  std::uint64_t remote_msgs() const { return remote_msgs_; }
+  metasim::SimTime lock_wait_time() const;
+  metasim::SimTime gvt_block_time() const { return collectives_.node_block_time(); }
+
+ private:
+  /// All simulated CPU time this node charges funnels through here so a
+  /// straggler window slows every activity uniformly (EPG, queue copies,
+  /// MPI packing, polling) — the model of a thermally throttled / noisy
+  /// KNL node.
+  metasim::SimTime cpu(metasim::SimTime base) const {
+    return faults_ == nullptr ? base : faults_->scale_cpu(node_id_, base);
+  }
+  /// MPI stall pulses: block until the agent's current pulse (if any) ends.
+  metasim::Process stall_if_faulted();
+  /// Crash windows: a thread reaching its loop top while the node is down
+  /// freezes until the restart instant (the crash takes effect at loop
+  /// granularity; threads blocked inside a collective stay blocked there).
+  metasim::Process halt_if_down();
+
+  metasim::Process worker_main(WorkerCtx& worker);
+  metasim::Process mpi_main();
+  /// Conservative modes: run the controller's per-batch step and route the
+  /// control messages (nulls, null requests) it wants sent.
+  metasim::Process cons_tick(WorkerCtx& worker, int processed, bool* did_work);
+  /// Overload protection: classify the worker's pool pressure, send
+  /// cancelbacks under red, and re-deliver parked events whose destination
+  /// has cooled down (src/flow).
+  metasim::Process flow_tick(WorkerCtx& worker, bool* did_work);
+  metasim::Process send_event(WorkerCtx& worker, pdes::Event event);
+  /// kEverywhere placement: this worker performs its own MPI calls under
+  /// the node-wide MPI lock (threaded-MPI contention model).
+  metasim::Process worker_self_mpi(WorkerCtx& worker, bool* did_work);
+  metasim::Process deliver_to_worker(WorkerCtx& dest, pdes::Event event);
+
+  metasim::Engine& engine_;
+  Fabric& fabric_;
+  const SimulationConfig& cfg_;
+  const pdes::LpMap& map_;
+  pdes::OwnerTable& owners_;
+  const pdes::Model& model_;
+  int node_id_;
+  ClusterProfiler& profiler_;
+  obs::TraceRecorder& trace_;
+  obs::MetricsRegistry& metrics_;
+  const fault::FaultEngine* faults_;
+  RecoveryManager* recovery_;
+  lb::Controller* lb_;
+  cons::Controller* cons_;
+  flow::Controller* flow_;
+  obs::CounterHandle regional_msgs_metric_;
+  obs::CounterHandle remote_msgs_metric_;
+
+  std::vector<std::unique_ptr<WorkerCtx>> workers_;
+  SharedQueue mpi_outbox_;
+  metasim::Mutex mpi_lock_;  // kEverywhere: serializes workers' MPI calls
+  NodeCollectives collectives_;
+  std::unique_ptr<GvtAlgorithm> gvt_;
+
+  bool stop_ = false;
+  double final_gvt_ = 0;
+  /// GVT-policy throttle clamp (kVtInfinity when the policy is at kAsync).
+  double gvt_throttle_bound_ = pdes::kVtInfinity;
+  std::uint64_t gvt_throttle_engagements_ = 0;
+  int ckpt_done_ = 0;     // workers finished in the current checkpoint round
+  int restore_done_ = 0;  // workers finished in the current restore round
+  std::uint64_t mpi_queue_peak_ = 0;
+  std::uint64_t regional_msgs_ = 0;
+  std::uint64_t remote_msgs_ = 0;
+};
+
+}  // namespace cagvt::core

@@ -1,0 +1,390 @@
+#include "exec/thread_engine.hpp"
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <stdexcept>
+#include <thread>
+
+#include "cons/clamp.hpp"
+
+namespace cagvt::exec {
+
+using core::GvtKind;
+using core::MpiPlacement;
+
+ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model& model)
+    : cfg_(cfg),
+      model_(model),
+      map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker) {
+  cfg_.validate();
+  if (!cfg_.faults.empty())
+    throw std::invalid_argument(
+        "fault injection is driven by the simulated clock and is not supported "
+        "with --backend=threads");
+  if (cfg_.ckpt_every > 0)
+    throw std::invalid_argument(
+        "GVT-aligned checkpoints are not supported with --backend=threads");
+  if (cfg_.lb.enabled())
+    throw std::invalid_argument(
+        "dynamic LP migration (--lb) runs at simulated-clock GVT fences and "
+        "is not supported with --backend=threads");
+  if (cfg_.sync.enabled())
+    throw std::invalid_argument(
+        "conservative synchronization (--sync) runs on the coroutine "
+        "backend's simulated transport and is not supported with "
+        "--backend=threads");
+  if (cfg_.obs.trace || cfg_.obs.metrics)
+    throw std::invalid_argument(
+        "structured tracing/metrics are stamped with the simulated clock and "
+        "are not supported with --backend=threads");
+
+  const pdes::KernelConfig kcfg{cfg_.end_vt, cfg_.seed};
+  workers_.reserve(static_cast<std::size_t>(map_.total_workers()));
+  for (int w = 0; w < map_.total_workers(); ++w) {
+    workers_.push_back(std::make_unique<Worker>(model_, map_, w, kcfg));
+    if (cfg_.flow.enabled()) {
+      // Each worker's detector is fed only from its own kernel (the hook
+      // fires on the owning thread), keeping flow state thread-partitioned.
+      Worker* wp = workers_.back().get();
+      wp->storm = flow::StormDetector(cfg_.flow.storm);
+      wp->kernel.set_rollback_hook([wp](std::uint64_t depth, bool secondary) {
+        wp->storm.note(depth, secondary);
+      });
+    }
+  }
+  if (uses_outbox()) {
+    outboxes_.reserve(static_cast<std::size_t>(cfg_.nodes));
+    for (int n = 0; n < cfg_.nodes; ++n)
+      outboxes_.push_back(std::make_unique<MpscQueue<pdes::Event>>());
+  }
+
+  const int parties =
+      map_.total_workers() + (cfg_.has_dedicated_mpi() ? cfg_.nodes : 0);
+  // The stateful trigger policy (hysteresis + deferred escalation) lives in
+  // the fence coordinator for the adaptive kinds; the other kinds never run
+  // it and always report SyncTier::kAsync.
+  const bool adaptive =
+      cfg_.gvt == GvtKind::kControlledAsync || cfg_.gvt == GvtKind::kEpoch;
+  fence_ = std::make_unique<GvtFence>(
+      parties, cfg_.end_vt, in_flight_,
+      [this] { return std::chrono::steady_clock::now() >= deadline_; },
+      core::trigger_policy_from(cfg_), adaptive);
+}
+
+void ThreadEngine::route_externals(Worker& self, int src_node,
+                                   const std::vector<pdes::Event>& events) {
+  for (const pdes::Event& e : events) {
+    const int dst_worker = map_.worker_of(e.dst_lp);
+    const int dst_node = map_.node_of_worker(dst_worker);
+    // Increment strictly before the push: a consumer that already drained
+    // the message must find the counter accounted for.
+    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    if (dst_node == src_node) {
+      ++self.regional_msgs;
+      workers_[static_cast<std::size_t>(dst_worker)]->inbox.push(e);
+    } else {
+      ++self.remote_msgs;
+      if (uses_outbox()) {
+        outboxes_[static_cast<std::size_t>(src_node)]->push(e);
+      } else {
+        // kEverywhere: the worker performs its own "MPI" delivery.
+        workers_[static_cast<std::size_t>(dst_worker)]->inbox.push(e);
+      }
+    }
+  }
+}
+
+void ThreadEngine::drain_inbox(Worker& self, int src_node) {
+  if (self.inbox.approx_empty()) return;
+  self.drain_buf.clear();
+  self.inbox.drain(self.drain_buf);
+  for (const pdes::Event& e : self.drain_buf) {
+    pdes::Outcome out = self.kernel.deposit(e);
+    // Route the deposit's fallout (anti-message cascades) BEFORE retiring
+    // the consumed message, so in_flight_ never reaches zero while any
+    // causal successor is still unpushed.
+    route_externals(self, src_node, out.external);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  self.drain_buf.clear();
+}
+
+void ThreadEngine::forward_outbox(int node, std::vector<pdes::Event>& scratch) {
+  auto& box = *outboxes_[static_cast<std::size_t>(node)];
+  if (box.approx_empty()) return;
+  scratch.clear();
+  box.drain(scratch);
+  for (const pdes::Event& e : scratch)
+    workers_[static_cast<std::size_t>(map_.worker_of(e.dst_lp))]->inbox.push(e);
+  scratch.clear();
+}
+
+void ThreadEngine::maybe_announce(Worker& self, int w) {
+  const auto interval = static_cast<std::uint64_t>(cfg_.gvt_interval);
+  switch (cfg_.gvt) {
+    case GvtKind::kBarrier:
+      // Synchronous discipline: every worker requests a round on its own
+      // cadence; the first requester pulls the whole fleet into the fence,
+      // like Barrier GVT's collective entry.
+      if (self.iters_since_round >= interval) fence_->announce();
+      break;
+    case GvtKind::kMattern:
+      // Asynchronous discipline: one initiator (global worker 0) starts
+      // rounds on its cadence, everyone else only answers the announce.
+      if (w == 0 && self.iters_since_round >= interval) fence_->announce();
+      break;
+    case GvtKind::kControlledAsync: {
+      // Mattern cadence plus the paper's control triggers, with the shared
+      // policy arithmetic from core/gvt_policy.hpp. The queue-occupancy
+      // trigger fires from ANY worker the moment the in-flight backlog
+      // exceeds the bound (the stateless raw check — the stateful
+      // hysteresis/escalation policy is coordinator-owned inside the
+      // fence); the escalated kSync tier shortens the initiator's cadence.
+      const core::CaTriggerPolicy policy{
+          cfg_.ca_efficiency_threshold,
+          static_cast<std::uint64_t>(cfg_.ca_queue_threshold)};
+      const auto backlog = in_flight_.load(std::memory_order_relaxed);
+      if (backlog > 0 && policy.trips(1.0, static_cast<double>(backlog))) {
+        fence_->announce(/*control=*/true);
+        break;
+      }
+      if (w != 0) break;
+      const bool degraded = fence_->tier() == core::SyncTier::kSync;
+      const std::uint64_t effective =
+          degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
+      if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
+      break;
+    }
+    case GvtKind::kEpoch: {
+      // The real-thread fence quiesces every worker per round, which
+      // collapses the coroutine backend's always-in-flight pipeline into
+      // a Mattern-shaped cadence: one initiator, interval-clocked. The
+      // epoch protocol itself (tags, tree waves) lives in the simulated
+      // backend; here only the announce discipline differs per kind. The
+      // escalated kSync tier tightens the cadence the same way CA-GVT's
+      // degraded mode does (the quiesced-epoch analogue); kThrottle leaves
+      // the cadence alone — only the execution clamp engages.
+      if (w != 0) break;
+      const bool degraded = fence_->tier() == core::SyncTier::kSync;
+      const std::uint64_t effective =
+          degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
+      if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
+      break;
+    }
+  }
+}
+
+void ThreadEngine::flow_tick(Worker& self) {
+  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
+  const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
+  self.tier = policy.classify(pool);
+  if (self.tier != core::PressureTier::kGreen && self.bound == pdes::kVtInfinity) {
+    // Engage immediately — waiting for the next adoption would let
+    // speculation overshoot the budget by a whole round's worth of history.
+    ++self.throttle_engagements;
+    self.bound = self.last_gvt + std::max(cfg_.flow.clamp, 1.0);
+  }
+  if (self.tier == core::PressureTier::kRed && !self.red_announced) {
+    // Pressure signaling through the fence: pull the fleet into a round so
+    // the adopted GVT can fossil-collect the pool. One announce per round —
+    // re-announcing while the round is pending would only re-arm the fence.
+    fence_->announce();
+    self.red_announced = true;
+    ++self.forced_rounds;
+  }
+}
+
+void ThreadEngine::flow_adopt(Worker& self, double gvt) {
+  self.last_gvt = gvt;
+  const bool storming = self.storm.fold_round();
+  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
+  const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
+  self.tier = policy.classify(pool);
+  self.red_announced = false;
+  const pdes::VirtualTime width = std::max(cfg_.flow.clamp, 1.0);
+  const bool stressed = storming || self.tier != core::PressureTier::kGreen;
+  if (stressed) {
+    self.calm = 0;
+    if (self.bound == pdes::kVtInfinity) {
+      ++self.throttle_engagements;
+      self.bound = gvt + width;
+    } else {
+      self.bound = cons::advance_clamp(self.bound, gvt, width);
+    }
+  } else if (self.bound != pdes::kVtInfinity) {
+    if (++self.calm >= kCalmRounds) {
+      self.bound = pdes::kVtInfinity;
+      self.calm = 0;
+    } else {
+      // Cooling off: keep the clamp sliding so progress never stalls while
+      // the hysteresis window drains.
+      self.bound = cons::advance_clamp(self.bound, gvt, width);
+    }
+  }
+}
+
+void ThreadEngine::policy_adopt(Worker& self, double gvt) {
+  // Apply the fence's decided tier to this worker's execution clamp. The
+  // tier was published by reduce() earlier in the same round, so every
+  // worker reads the fresh decision here (barriers order the accesses).
+  const core::SyncTier tier = fence_->tier();
+  const pdes::VirtualTime width = std::max(cfg_.gvt_throttle_clamp, 1.0);
+  if (tier == core::SyncTier::kAsync) {
+    self.policy_bound = pdes::kVtInfinity;
+  } else if (self.policy_bound == pdes::kVtInfinity) {
+    ++self.gvt_throttle_engagements;
+    self.policy_bound = gvt + width;
+  } else {
+    self.policy_bound = cons::advance_clamp(self.policy_bound, gvt, width);
+  }
+}
+
+FenceContribution ThreadEngine::contribute(Worker& self) {
+  FenceContribution c;
+  c.min_ts = self.kernel.local_min_ts();
+  const auto& ks = self.kernel.stats();
+  c.committed_delta = ks.committed - self.last_committed;
+  c.processed_delta =
+      c.committed_delta + (ks.rolled_back - self.last_rolled_back);
+  self.last_committed = ks.committed;
+  self.last_rolled_back = ks.rolled_back;
+  return c;
+}
+
+void ThreadEngine::worker_main(int w) {
+  Worker& self = *workers_[static_cast<std::size_t>(w)];
+  self.kernel.init();
+  const int node = map_.node_of_worker(w);
+  const bool combined_duty =
+      cfg_.mpi == MpiPlacement::kCombined && map_.worker_in_node_of(w) == 0;
+  const auto poll_period = static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period);
+
+  const bool flow_on = cfg_.flow.enabled();
+
+  for (;;) {
+    drain_inbox(self, node);
+    bool executed = false;
+    // The flow clamp and the GVT trigger policy's clamp compose by taking
+    // the tighter bound (same rule as the coroutine backend's worker loop).
+    const pdes::VirtualTime bound = std::min(self.bound, self.policy_bound);
+    for (int i = 0; i < cfg_.batch; ++i) {
+      pdes::Outcome out = bound == pdes::kVtInfinity
+                              ? self.kernel.process_next()
+                              : self.kernel.process_next_bounded(bound);
+      if (!out.processed) break;
+      executed = true;
+      route_externals(self, node, out.external);
+    }
+    ++self.iterations;
+    ++self.iters_since_round;
+    if (combined_duty && self.iterations % poll_period == 0)
+      forward_outbox(node, self.drain_buf);
+
+    if (flow_on) flow_tick(self);
+    maybe_announce(self, w);
+    if (fence_->announced()) {
+      const FenceRound round = fence_->run_round(
+          /*party=*/w,
+          [&] {
+            drain_inbox(self, node);
+            if (combined_duty) forward_outbox(node, self.drain_buf);
+          },
+          [&] { return contribute(self); },
+          [&](double gvt) {
+            self.kernel.sample_pool_peak();
+            if (flow_on) flow_adopt(self, gvt);
+            policy_adopt(self, gvt);
+            self.kernel.fossil_collect(gvt);
+          });
+      self.iters_since_round = 0;
+      if (round.stop) return;
+    } else if (!executed && self.inbox.approx_empty()) {
+      // Out of work until a message or a round — either truly idle, or
+      // throttled below the clamp with everything pending above it.
+      std::this_thread::yield();
+    }
+  }
+}
+
+void ThreadEngine::agent_main(int node) {
+  const int party = map_.total_workers() + node;
+  std::vector<pdes::Event> scratch;
+  for (;;) {
+    forward_outbox(node, scratch);
+    if (fence_->announced()) {
+      const FenceRound round = fence_->run_round(
+          party, [&] { forward_outbox(node, scratch); },
+          [] { return FenceContribution{}; }, [](double) {});
+      if (round.stop) return;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+core::SimulationResult ThreadEngine::run(double max_wall_seconds) {
+  const auto start = std::chrono::steady_clock::now();
+  deadline_ = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                          std::chrono::duration<double>(max_wall_seconds));
+
+  // A CAGVT_CHECK failure aborts the process outright; any other exception
+  // escaping a worker is reported before terminating, because a dead party
+  // would leave the rest of the fleet deadlocked inside the fence.
+  const auto guarded = [](auto&& fn) {
+    return [fn = std::forward<decltype(fn)>(fn)]() mutable {
+      try {
+        fn();
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "thread backend worker died: %s\n", e.what());
+        std::abort();
+      }
+    };
+  };
+
+  std::vector<std::thread> threads;
+  threads.reserve(workers_.size() +
+                  (cfg_.has_dedicated_mpi() ? static_cast<std::size_t>(cfg_.nodes) : 0));
+  for (int w = 0; w < map_.total_workers(); ++w)
+    threads.emplace_back(guarded([this, w] { worker_main(w); }));
+  if (cfg_.has_dedicated_mpi())
+    for (int n = 0; n < cfg_.nodes; ++n)
+      threads.emplace_back(guarded([this, n] { agent_main(n); }));
+  for (std::thread& t : threads) t.join();
+
+  core::SimulationResult result;
+  result.completed = fence_->completed();
+  for (auto& worker : workers_) {
+    worker->kernel.sample_pool_peak();  // capture the shutdown occupancy
+    worker->kernel.final_commit();
+    result.events += worker->kernel.stats();
+    result.committed_fingerprint += worker->kernel.committed_fingerprint();
+    result.state_hash += worker->kernel.state_hash();
+    result.regional_msgs += worker->regional_msgs;
+    result.remote_msgs += worker->remote_msgs;
+    if (cfg_.flow.enabled()) {
+      result.flow_storms += worker->storm.storms();
+      result.flow_throttle_engagements += worker->throttle_engagements;
+      result.flow_forced_rounds += worker->forced_rounds;
+    }
+    result.gvt_throttle_engagements += worker->gvt_throttle_engagements;
+  }
+  result.peak_event_pool = result.events.pool_peak;
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  result.committed_rate =
+      result.wall_seconds > 0
+          ? static_cast<double>(result.events.committed) / result.wall_seconds
+          : 0;
+  result.efficiency = result.events.efficiency();
+  result.final_gvt = fence_->last_gvt();
+  result.gvt_rounds = fence_->rounds();
+  result.sync_rounds = fence_->sync_rounds();
+  result.gvt_throttle_rounds = fence_->throttle_rounds();
+  result.gvt_trace = fence_->gvt_trace();
+  result.last_global_efficiency = fence_->efficiency();
+  return result;
+}
+
+}  // namespace cagvt::exec

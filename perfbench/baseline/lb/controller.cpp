@@ -1,0 +1,267 @@
+#include "lb/controller.hpp"
+
+#include <algorithm>
+#include <cmath>
+
+#include "util/assert.hpp"
+
+namespace cagvt::lb {
+
+Controller::Controller(const LbConfig& cfg, pdes::OwnerTable& owners,
+                       obs::MetricsRegistry& metrics, obs::TraceRecorder* trace)
+    : cfg_(cfg),
+      owners_(owners),
+      trace_(trace),
+      kernels_(static_cast<std::size_t>(owners.map().total_workers()), nullptr),
+      migrations_metric_(metrics.counter("lb.migrations")),
+      migration_rounds_metric_(metrics.counter("lb.migration_rounds")),
+      forwards_metric_(metrics.counter("lb.forwards")),
+      roughness_metric_(metrics.gauge("lb.roughness")),
+      roughness_ewma_metric_(metrics.gauge("lb.roughness_ewma")) {
+  CAGVT_CHECK(cfg.enabled());
+}
+
+void Controller::register_kernel(int global_worker, pdes::ThreadKernel* kernel) {
+  CAGVT_CHECK(global_worker >= 0 &&
+              global_worker < static_cast<int>(kernels_.size()));
+  CAGVT_CHECK_MSG(kernels_[static_cast<std::size_t>(global_worker)] == nullptr,
+                  "worker registered twice with the lb controller");
+  kernels_[static_cast<std::size_t>(global_worker)] = kernel;
+}
+
+void Controller::observe(std::uint64_t round, int worker, pdes::VirtualTime lvt,
+                         double gvt,
+                         const std::vector<std::pair<pdes::LpId, double>>& lp_work) {
+  const int total = static_cast<int>(kernels_.size());
+  RoundObs& obs = observations_[round];
+  if (obs.lvt.empty()) obs.lvt.assign(static_cast<std::size_t>(total), pdes::kVtInfinity);
+  obs.lvt[static_cast<std::size_t>(worker)] = lvt;
+  obs.gvt = gvt;
+  for (const auto& [lp, work] : lp_work) {
+    double& w = work_ewma_[lp];
+    w = cfg_.ewma * work + (1.0 - cfg_.ewma) * w;
+  }
+  if (++obs.reported == total) {
+    finalize_round(round, obs);
+    observations_.erase(round);
+  }
+}
+
+void Controller::finalize_round(std::uint64_t round, const RoundObs& obs) {
+  // Time-horizon width (Shchur & Novotny): the population stddev of the
+  // worker LVT surface. Idle workers (infinite LVT) sit above any horizon
+  // and are excluded from the width but count as migration destinations.
+  double sum = 0, sum_sq = 0;
+  int finite = 0;
+  for (const double lvt : obs.lvt) {
+    if (!std::isfinite(lvt)) continue;
+    sum += lvt;
+    sum_sq += lvt * lvt;
+    ++finite;
+  }
+  double width = 0;
+  if (finite >= 2) {
+    const double mean = sum / finite;
+    width = std::sqrt(std::max(0.0, sum_sq / finite - mean * mean));
+  }
+  ++rounds_finalized_;
+  width_sum_ += width;
+  ++warmup_rounds_;
+
+  const double a = cfg_.ewma;
+  width_ewma_ = warmup_rounds_ == 1 ? width : a * width + (1.0 - a) * width_ewma_;
+  if (std::isfinite(obs.gvt)) {
+    if (have_prev_gvt_) {
+      const double advance = std::max(0.0, obs.gvt - prev_gvt_);
+      advance_ewma_ =
+          warmup_rounds_ == 2 ? advance : a * advance + (1.0 - a) * advance_ewma_;
+    }
+    prev_gvt_ = obs.gvt;
+    have_prev_gvt_ = true;
+  }
+
+  bool triggered = false;
+  const bool cooled =
+      !migrated_once_ ||
+      round >= last_migration_round_ +
+                   static_cast<std::uint64_t>(cfg_.cooldown) * backoff_;
+  if (warmup_rounds_ >= 3 && pending_plan_.empty() && cooled &&
+      width_ewma_ > cfg_.trigger * std::max(advance_ewma_, 1e-9)) {
+    plan_moves(round, obs);
+    triggered = !pending_plan_.empty();
+    if (triggered) {
+      if (width_at_last_plan_ >= 0 && width_ewma_ >= 0.95 * width_at_last_plan_) {
+        backoff_ = std::min<std::uint64_t>(backoff_ * 2, 64);
+      } else {
+        backoff_ = 1;
+      }
+      width_at_last_plan_ = width_ewma_;
+    }
+  }
+
+  roughness_metric_.set(width);
+  roughness_ewma_metric_.set(width_ewma_);
+  if (trace_ != nullptr) trace_->lb_roughness(round, width, width_ewma_, triggered);
+}
+
+void Controller::plan_moves(std::uint64_t round, const RoundObs& obs) {
+  const int total = static_cast<int>(kernels_.size());
+  double sum = 0, sum_sq = 0;
+  int finite = 0;
+  for (const double lvt : obs.lvt) {
+    if (!std::isfinite(lvt)) continue;
+    sum += lvt;
+    sum_sq += lvt * lvt;
+    ++finite;
+  }
+  if (finite < 1) return;
+  const double mean = sum / finite;
+  const double width =
+      finite >= 2 ? std::sqrt(std::max(0.0, sum_sq / finite - mean * mean)) : 0.0;
+
+  // Laggards drag the horizon down from below the band; leaders (including
+  // idle workers) pull from above and have capacity to absorb load.
+  std::vector<int> laggards, leaders;
+  for (int w = 0; w < total; ++w) {
+    const double lvt = obs.lvt[static_cast<std::size_t>(w)];
+    if (std::isfinite(lvt) && lvt < mean - 0.5 * width) laggards.push_back(w);
+    if (!std::isfinite(lvt) || lvt > mean + 0.5 * width) leaders.push_back(w);
+  }
+  const auto lvt_of = [&obs](int w) { return obs.lvt[static_cast<std::size_t>(w)]; };
+  std::sort(laggards.begin(), laggards.end(), [&](int x, int y) {
+    return lvt_of(x) != lvt_of(y) ? lvt_of(x) < lvt_of(y) : x < y;
+  });
+  // Leaders ascending: the preferred destination is the worker *closest
+  // above* the band, not the extreme leader. A migrated LP's pending
+  // events carry timestamps near its laggard's LVT; landing them on the
+  // farthest-ahead worker turns every one into a maximal straggler and
+  // the fence into a rollback shock. The just-above-band leader has spare
+  // capacity with the smallest horizon gap to bridge.
+  std::sort(leaders.begin(), leaders.end(), [&](int x, int y) {
+    return lvt_of(x) != lvt_of(y) ? lvt_of(x) < lvt_of(y) : x < y;
+  });
+  if (laggards.empty() || leaders.empty()) {
+    // Degenerate band (width ~ 0 relative to the trigger): fall back to the
+    // extreme pair so a persistently triggered balancer still acts.
+    int lo = -1, hi = -1;
+    for (int w = 0; w < total; ++w) {
+      if (lo < 0 || lvt_of(w) < lvt_of(lo)) lo = w;
+      if (hi < 0 || lvt_of(w) > lvt_of(hi)) hi = w;
+    }
+    if (lo == hi || lvt_of(lo) == lvt_of(hi)) return;
+    laggards.assign(1, lo);
+    leaders.assign(1, hi);
+  }
+
+  // Greedy-deep allocation with a sticky destination per laggard: the
+  // worst laggard spends as much of the budget as it can, and everything
+  // it sheds lands on ONE leader. LPs that live together talk the most
+  // (block-local PHOLD traffic, Zipf hot sets) — scattering one worker's
+  // LPs across many destinations converts that affinity into cross-worker
+  // rollback chains, while moving a cohort together keeps it local at the
+  // destination. With min-lps=0 and budget >= the block size this is
+  // whole-worker evacuation (the repair for a degraded host).
+  int remaining = cfg_.budget;
+  // Re-moving an LP that migrated recently un-does a placement the
+  // estimators have not yet caught up with; hold each LP down for two
+  // cooldown windows after a move.
+  const std::uint64_t hold = 2 * static_cast<std::uint64_t>(cfg_.cooldown);
+  std::size_t next_leader = 0;
+  for (const int src : laggards) {
+    if (remaining <= 0) break;
+    const int avail = owners_.lp_count_of(src) - cfg_.min_lps -
+                      // LPs already claimed from src earlier in this plan
+                      static_cast<int>(std::count_if(
+                          pending_plan_.begin(), pending_plan_.end(),
+                          [src](const pdes::Migration& m) { return m.src_worker == src; }));
+    int take = std::min(avail, remaining);
+    if (take <= 0) continue;
+    const int dst = leaders[next_leader % leaders.size()];
+
+    // Shed the hottest LPs first (work EWMA, lp id as deterministic tie).
+    std::vector<pdes::LpId> lps = kernels_[static_cast<std::size_t>(src)]->owned_lps();
+    const auto heat = [this](pdes::LpId lp) {
+      const auto it = work_ewma_.find(lp);
+      return it != work_ewma_.end() ? it->second : 0.0;
+    };
+    std::sort(lps.begin(), lps.end(), [&](pdes::LpId x, pdes::LpId y) {
+      return heat(x) != heat(y) ? heat(x) > heat(y) : x < y;
+    });
+    bool shed_any = false;
+    for (const pdes::LpId lp : lps) {
+      if (take <= 0) break;
+      const auto moved = last_moved_round_.find(lp);
+      if (moved != last_moved_round_.end() && round < moved->second + hold) continue;
+      pending_plan_.push_back({lp, src, dst});
+      last_moved_round_[lp] = round;
+      shed_any = true;
+      --take;
+      --remaining;
+    }
+    if (shed_any) ++next_leader;
+  }
+}
+
+bool Controller::round_has_moves(std::uint64_t round) {
+  const auto [it, inserted] = plans_.try_emplace(round);
+  if (inserted && !pending_plan_.empty()) {
+    it->second = std::move(pending_plan_);
+    pending_plan_.clear();
+    last_migration_round_ = round;
+    migrated_once_ = true;
+  }
+  return !it->second.empty();
+}
+
+const std::vector<pdes::Migration>& Controller::moves_for(std::uint64_t round) {
+  round_has_moves(round);
+  return plans_.at(round);
+}
+
+void Controller::worker_at_fence(std::uint64_t round) {
+  const std::vector<pdes::Migration>& plan = moves_for(round);
+  CAGVT_CHECK_MSG(!plan.empty(), "fence arrival on a round without moves");
+  if (++fence_arrivals_[round] < static_cast<int>(kernels_.size())) return;
+  fence_arrivals_.erase(round);
+  execute(round, plan);
+}
+
+void Controller::execute(std::uint64_t round, const std::vector<pdes::Migration>& plan) {
+  for (const pdes::Migration& m : plan) {
+    pdes::ThreadKernel* src = kernels_[static_cast<std::size_t>(m.src_worker)];
+    pdes::ThreadKernel* dst = kernels_[static_cast<std::size_t>(m.dst_worker)];
+    CAGVT_CHECK(src != nullptr && dst != nullptr);
+    pdes::ThreadKernel::LpPackage pkg = src->extract_lp(m.lp);
+    const std::int64_t bytes = pkg.bytes();
+    dst->install_lp(std::move(pkg));
+    if (trace_ != nullptr)
+      trace_->lb_migrate(round, static_cast<std::uint64_t>(m.lp), m.src_worker,
+                         m.dst_worker, bytes);
+    migrations_metric_.inc();
+  }
+  owners_.apply(plan);
+  migrations_ += plan.size();
+  ++migration_rounds_;
+  migration_rounds_metric_.inc();
+}
+
+void Controller::on_restore() {
+  observations_.clear();
+  pending_plan_.clear();
+  fence_arrivals_.clear();
+  work_ewma_.clear();
+  last_moved_round_.clear();
+  backoff_ = 1;
+  width_at_last_plan_ = -1.0;
+  width_ewma_ = 0;
+  advance_ewma_ = 0;
+  have_prev_gvt_ = false;
+  warmup_rounds_ = 0;
+}
+
+void Controller::count_forward() {
+  ++forwards_;
+  forwards_metric_.inc();
+}
+
+}  // namespace cagvt::lb

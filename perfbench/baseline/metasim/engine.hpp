@@ -1,0 +1,108 @@
+// Deterministic discrete-event engine for the virtual cluster.
+//
+// The engine dispatches timed continuations in (time, sequence) order, so a
+// given program produces bit-identical schedules on every run. Continuations
+// are either coroutine resumptions (simulated threads — see process.hpp) or
+// plain callbacks (e.g. network message delivery).
+//
+// Concurrency contract: an Engine and everything scheduled on it belong to
+// exactly ONE OS thread — the one that constructed it. "Parallelism" on
+// this substrate is cooperative: simulated threads interleave at co_await
+// yield points, and the GVT algorithms cut consistent states by counting
+// those cooperative hand-offs. The real-thread execution backend
+// (src/exec) deliberately does NOT reuse this engine: it replaces yield
+// points with an atomic GVT fence over std::barrier, and the differential
+// tests (tests/exec_differential_test.cpp) check the two executions commit
+// identical results. The owner-thread assertions below turn any accidental
+// cross-thread use of the cooperative engine into an immediate failure
+// instead of a data race.
+#pragma once
+
+#include <coroutine>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <queue>
+#include <thread>
+#include <vector>
+
+#include "metasim/time.hpp"
+#include "util/assert.hpp"
+
+namespace cagvt::metasim {
+
+class Engine {
+ public:
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+  ~Engine();
+
+  /// Current simulated wall-clock time.
+  SimTime now() const { return now_; }
+
+  /// Schedule `fn` to run at absolute time `when` (>= now). Dispatch order
+  /// between equal times is FIFO by scheduling order.
+  void call_at(SimTime when, std::function<void()> fn);
+  void call_after(SimTime delay, std::function<void()> fn) { call_at(now_ + delay, std::move(fn)); }
+
+  /// Daemon variant: like call_at, but the event does not keep the engine
+  /// alive — run() returns (without advancing the clock) once only daemon
+  /// events remain. Background instrumentation (e.g. fault-window edges)
+  /// uses this so a run's duration is decided solely by real work.
+  void call_at_daemon(SimTime when, std::function<void()> fn);
+
+  /// Schedule a coroutine resumption (used by awaitables).
+  void resume_at(SimTime when, std::coroutine_handle<> handle);
+
+  /// Run until the event queue drains, `stop()` is called, or simulated
+  /// time would exceed `until`. Returns the time of the last dispatched
+  /// event. Rethrows any exception escaping a coroutine or callback.
+  SimTime run(SimTime until = kTimeNever);
+
+  /// Halt the dispatch loop after the current continuation returns.
+  void stop() { stopped_ = true; }
+  bool stopped() const { return stopped_; }
+
+  bool empty() const { return queue_.empty(); }
+  std::uint64_t dispatched() const { return dispatched_; }
+
+  /// Internal: processes register their root handles so frames suspended at
+  /// teardown are destroyed (see process.hpp).
+  void adopt_frame(std::coroutine_handle<> handle) { frames_.push_back(handle); }
+
+  /// Internal: coroutine promises park escaped exceptions here; run()
+  /// rethrows them.
+  void set_pending_exception(std::exception_ptr e) { pending_exception_ = e; }
+
+  /// Debug-build guard for the single-thread contract above: scheduling
+  /// into or running an engine from a thread other than its constructor's
+  /// is a bug (use the src/exec thread backend for real parallelism).
+  void assert_owner() const { CAGVT_ASSERT(std::this_thread::get_id() == owner_); }
+
+ private:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool daemon = false;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+
+  std::thread::id owner_ = std::this_thread::get_id();
+  SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t live_count_ = 0;  // queued non-daemon events
+  bool stopped_ = false;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<std::coroutine_handle<>> frames_;
+  std::exception_ptr pending_exception_;
+};
+
+}  // namespace cagvt::metasim
