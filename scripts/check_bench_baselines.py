@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a bench binary advertises a JSON baseline that is not committed.
+"""Check the committed bench baselines: present, and (optionally) not drifted.
 
 Every bench source that uses CAGVT_BENCH_MAIN_WITH_JSON("<figure>") or
 run_figure_main(..., "<figure>", ...) writes BENCH_<figure>.json on each run
@@ -8,19 +8,41 @@ diffs against, so each advertised figure must have its baseline checked in
 at the repository root. This guard scans bench/*.cpp for advertised figure
 names and errors on any missing (or unparseable) BENCH_<figure>.json.
 
+With --rerun it is also a drift gate: it runs the named bench binaries from
+BUILD_DIR/bench with CAGVT_BENCH_JSON_DIR pointing at a temporary directory
+and, for every row the rerun produces, requires exact equality on every
+counter the committed baseline has for that row. Host timings and
+google-benchmark's bookkeeping keys are ignored. Counters the baseline lacks
+are listed but do not fail the check. The coroutine backend is
+deterministic, so any difference is a behaviour change.
+
 Usage:
     python3 scripts/check_bench_baselines.py [repo_root]
+    python3 scripts/check_bench_baselines.py [repo_root] --rerun BUILD_DIR \
+        --only tab02,abl09,abl10,abl11
 
-Exit codes: 0 all baselines present and valid JSON, 1 otherwise.
+Exit codes: 0 all baselines present and valid JSON (and, with --rerun,
+every rerun counter equal to its baseline), 1 otherwise.
 """
 
+import argparse
 import json
 import os
 import re
+import subprocess
 import sys
+import tempfile
 
 MACRO = re.compile(r'CAGVT_BENCH_MAIN_WITH_JSON\("([^"]+)"\)')
 FIGURE_MAIN = re.compile(r'run_figure_main\(\s*argc,\s*argv,\s*"([^"]+)"')
+# Row keys that are not simulation counters: host timings and
+# google-benchmark's own bookkeeping.
+IGNORED_KEYS = {
+    "real_time", "cpu_time", "time_unit", "name", "run_name", "run_type",
+    "family_index", "per_family_instance_index", "repetitions",
+    "repetition_index", "threads", "iterations", "aggregate_name",
+    "aggregate_unit", "label", "error_occurred", "error_message",
+}
 
 
 def advertised_figures(bench_dir):
@@ -36,9 +58,68 @@ def advertised_figures(bench_dir):
     return figures
 
 
+def rerun_failures(root, build_dir, figures, only):
+    """Rerun the `only` figures' binaries; return drift messages."""
+    failures = []
+    for figure in only:
+        if figure not in figures:
+            failures.append(f"--only names unknown figure '{figure}' "
+                            f"(known: {', '.join(sorted(figures))})")
+            continue
+        binary = os.path.join(build_dir, "bench",
+                              os.path.splitext(figures[figure])[0])
+        with open(os.path.join(root, f"BENCH_{figure}.json")) as f:
+            baseline = {row["name"]: row for row in json.load(f)["benchmarks"]}
+        with tempfile.TemporaryDirectory() as tmp:
+            env = dict(os.environ, CAGVT_BENCH_JSON_DIR=tmp)
+            env.pop("CAGVT_BENCH_JSON", None)
+            try:
+                proc = subprocess.run([binary], env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True)
+            except OSError as e:
+                failures.append(f"{figure}: cannot run {binary}: {e}")
+                continue
+            if proc.returncode != 0:
+                failures.append(f"{figure}: {binary} exited {proc.returncode}: "
+                                f"{proc.stderr.strip()[-500:]}")
+                continue
+            with open(os.path.join(tmp, f"BENCH_{figure}.json")) as f:
+                rows = json.load(f)["benchmarks"]
+        missing = set()
+        for row in rows:
+            want = baseline.get(row["name"])
+            if want is None:
+                failures.append(f"{figure}: row {row['name']} is not in the baseline")
+                continue
+            for key, value in sorted(row.items()):
+                if key in IGNORED_KEYS:
+                    continue
+                if key not in want:
+                    missing.add(key)
+                elif want[key] != value:
+                    failures.append(f"{figure}: {row['name']} {key}: baseline "
+                                    f"{want[key]!r}, rerun {value!r}")
+        if missing:
+            print(f"check_bench_baselines: {figure}: counters not in the baseline "
+                  f"(not checked): {', '.join(sorted(missing))}")
+        print(f"check_bench_baselines: {figure}: reran {len(rows)} rows")
+    return failures
+
+
 def main():
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
+    parser = argparse.ArgumentParser(
+        description="Check committed BENCH_*.json baselines.")
+    parser.add_argument("root", nargs="?", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--rerun", metavar="BUILD_DIR",
+                        help="rerun bench binaries from BUILD_DIR/bench and "
+                             "require their counters to equal the baselines")
+    parser.add_argument("--only", metavar="FIGURES",
+                        help="comma-separated figures to rerun (with --rerun)")
+    args = parser.parse_args()
+    if bool(args.rerun) != bool(args.only):
+        parser.error("--rerun and --only go together")
+    root = args.root
     figures = advertised_figures(os.path.join(root, "bench"))
     if not figures:
         print("check_bench_baselines: no bench sources advertise JSON output",
@@ -60,6 +141,10 @@ def main():
                 failures.append(f"BENCH_{figure}.json has no 'benchmarks' entries")
         except (OSError, json.JSONDecodeError) as e:
             failures.append(f"BENCH_{figure}.json is not valid JSON: {e}")
+
+    if not failures and args.rerun:
+        only = [f for f in args.only.split(",") if f]
+        failures += rerun_failures(root, args.rerun, figures, only)
 
     if failures:
         for line in failures:

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "cons/cons_config.hpp"
 #include "pdes/event.hpp"
 #include "pdes/mapping.hpp"
@@ -126,7 +127,7 @@ class Controller {
   std::vector<pdes::VirtualTime> advertised_; // guarantee last sent, per requester
 
   // --- window state -------------------------------------------------------
-  pdes::VirtualTime window_bound_ = 0;
+  Clamp window_;  // engaged from the start at [0, min(window, lookahead)]
 
   // --- statistics ---------------------------------------------------------
   std::uint64_t null_msgs_ = 0;

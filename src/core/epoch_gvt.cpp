@@ -53,9 +53,8 @@ void EpochGvt::finish_epoch() {
   // Tier occupancy: plan-forced synchronous epochs count as kSync even
   // when the adaptive policy did not ask for one.
   note_round_tier(sync_epoch_ ? SyncTier::kSync
-                  : node_.gvt_throttle_bound() != pdes::kVtInfinity
-                      ? SyncTier::kThrottle
-                      : SyncTier::kAsync);
+                  : node_.gvt_clamp().engaged() ? SyncTier::kThrottle
+                                                : SyncTier::kAsync);
   node_.trace().round_end(node_.rank(), epoch_);
   node_.metrics().counter("gvt.rounds").inc();
   if (sync_epoch_) node_.metrics().counter("gvt.sync_rounds").inc();
@@ -87,11 +86,7 @@ void EpochGvt::complete_epoch(const net::TreeVal& total) {
   const SyncDecision decision = trigger_.decide(last_efficiency, queue_peak);
   pending_tier_ = decision.tier;
   pending_sync_ = decision.tier == SyncTier::kSync;
-  if (decision.tier == SyncTier::kAsync) {
-    node_.release_gvt_throttle();
-  } else {
-    node_.engage_gvt_throttle(gvt, node_.cfg().gvt_throttle_clamp);
-  }
+  node_.apply_gvt_tier(decision.tier, gvt);
   node_.trace().gvt_computed(node_.rank(), epoch_, gvt, last_efficiency, queue_peak);
   if (pending_sync_ != sync_epoch_) {
     node_.trace().mode_switch(node_.rank(), epoch_, pending_sync_, last_efficiency,

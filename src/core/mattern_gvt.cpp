@@ -59,9 +59,8 @@ void MatternGvt::finish_round() {
   // Tier occupancy: plan-forced synchronous rounds count as kSync even when
   // the adaptive policy did not ask for one.
   note_round_tier(sync_round_active_ ? SyncTier::kSync
-                  : node_.gvt_throttle_bound() != pdes::kVtInfinity
-                      ? SyncTier::kThrottle
-                      : SyncTier::kAsync);
+                  : node_.gvt_clamp().engaged() ? SyncTier::kThrottle
+                                                : SyncTier::kAsync);
   node_.trace().round_end(node_.rank(), round_);
   node_.metrics().counter("gvt.rounds").inc();
   if (sync_round_active_) node_.metrics().counter("gvt.sync_rounds").inc();
@@ -83,11 +82,7 @@ void MatternGvt::apply_broadcast(const MatternToken& token) {
   // Throttle-first intervention: every rank applies the broadcast tier to
   // its execution clamp immediately (the clamp also stays on across kSync
   // rounds — escalation adds barriers, it does not lift the bound).
-  if (pending_tier_ == SyncTier::kAsync) {
-    node_.release_gvt_throttle();
-  } else {
-    node_.engage_gvt_throttle(token.gvt, node_.cfg().gvt_throttle_clamp);
-  }
+  node_.apply_gvt_tier(pending_tier_, token.gvt);
   phase_ = Phase::kBroadcast;
   node_.trace().phase_change(node_.rank(), round_, "broadcast");
 }

@@ -170,7 +170,7 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
         // Execution horizon: the tightest of the conservative window
         // (--sync), the flow throttle clamp (--flow), and the adaptive GVT
         // policy's throttle tier; infinity = free-running.
-        double bound = gvt_throttle_bound_;
+        double bound = gvt_clamp_.bound();
         if (cons_ != nullptr) bound = std::min(bound, cons_->bound(worker.global_worker));
         if (flow_ != nullptr)
           bound = std::min(bound, flow_->exec_bound(worker.global_worker));

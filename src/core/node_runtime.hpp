@@ -226,26 +226,16 @@ class NodeRuntime {
   double final_gvt() const { return final_gvt_; }
 
   // --- adaptive-policy throttle (SyncTier::kThrottle, DESIGN §13) --------
-  /// Engage (or slide) the node-wide execution clamp at GVT + width. Called
-  /// by the GVT algorithms when the tiered trigger policy answers
-  /// kThrottle/kSync; workers then process no event past the bound while
-  /// rounds keep running — the local damping that replaces an immediate
-  /// quiesce. Monotone via the shared cons/clamp.hpp rule.
-  void engage_gvt_throttle(double gvt, double width) {
-    if (gvt_throttle_bound_ == pdes::kVtInfinity) {
-      ++gvt_throttle_engagements_;
+  /// Apply the tier the policy decided for the next round to the node's
+  /// execution clamp: kThrottle and kSync hold it at GVT + clamp (sliding),
+  /// kAsync releases it. Workers then process no event past the bound
+  /// while rounds keep running — the local damping that replaces an
+  /// immediate quiesce. A restore leaves the clamp as it is.
+  void apply_gvt_tier(SyncTier tier, double gvt) {
+    if (gvt_clamp_.follow(tier != SyncTier::kAsync, gvt, cfg_.gvt_throttle_clamp))
       metrics_.counter("gvt.throttle_engagements").inc();
-      gvt_throttle_bound_ = gvt + width;
-    } else {
-      gvt_throttle_bound_ = cons::advance_clamp(gvt_throttle_bound_, gvt, width);
-    }
   }
-  /// Release the clamp (the policy reached kAsync after its calm window).
-  void release_gvt_throttle() { gvt_throttle_bound_ = pdes::kVtInfinity; }
-  /// Current policy clamp (kVtInfinity = disengaged). Composed with the
-  /// cons window and flow clamp via std::min in worker_main.
-  double gvt_throttle_bound() const { return gvt_throttle_bound_; }
-  std::uint64_t gvt_throttle_engagements() const { return gvt_throttle_engagements_; }
+  const cons::Clamp& gvt_clamp() const { return gvt_clamp_; }
 
   /// MPI progress: outbox -> wire, wire -> worker remote inboxes, GVT
   /// tokens -> algorithm. Runs on the dedicated MPI thread or inline on
@@ -368,9 +358,7 @@ class NodeRuntime {
 
   bool stop_ = false;
   double final_gvt_ = 0;
-  /// GVT-policy throttle clamp (kVtInfinity when the policy is at kAsync).
-  double gvt_throttle_bound_ = pdes::kVtInfinity;
-  std::uint64_t gvt_throttle_engagements_ = 0;
+  cons::Clamp gvt_clamp_;  // released while the policy is at kAsync
   int ckpt_done_ = 0;     // workers finished in the current checkpoint round
   int restore_done_ = 0;  // workers finished in the current restore round
   std::uint64_t mpi_queue_peak_ = 0;

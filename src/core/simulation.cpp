@@ -161,7 +161,7 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   result.sync_rounds = gvt0.stats().sync_rounds;
   result.gvt_throttle_rounds = gvt0.stats().throttle_rounds;
   for (auto& node : nodes)
-    result.gvt_throttle_engagements += node->gvt_throttle_engagements();
+    result.gvt_throttle_engagements += node->gvt_clamp().engagements();
   result.gvt_round_seconds = metasim::to_seconds(gvt0.stats().round_time_total);
   result.avg_lvt_disparity = profiler.avg_lvt_disparity();
   if (const auto* mattern = dynamic_cast<const MatternGvt*>(&gvt0))

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cons/clamp.hpp"
-
 namespace cagvt::exec {
 
 using core::GvtKind;
@@ -16,6 +14,7 @@ using core::MpiPlacement;
 
 ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model& model)
     : cfg_(cfg),
+      ca_trigger_(core::trigger_policy_from(cfg)),
       model_(model),
       map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker) {
   cfg_.validate();
@@ -43,7 +42,7 @@ ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model&
   const pdes::KernelConfig kcfg{cfg_.end_vt, cfg_.seed};
   workers_.reserve(static_cast<std::size_t>(map_.total_workers()));
   for (int w = 0; w < map_.total_workers(); ++w) {
-    workers_.push_back(std::make_unique<Worker>(model_, map_, w, kcfg));
+    workers_.push_back(std::make_unique<Worker>(model_, map_, w, kcfg, cfg_.flow.clamp));
     if (cfg_.flow.enabled()) {
       // Each worker's detector is fed only from its own kernel (the hook
       // fires on the owning thread), keeping flow state thread-partitioned.
@@ -70,7 +69,7 @@ ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model&
   fence_ = std::make_unique<GvtFence>(
       parties, cfg_.end_vt, in_flight_,
       [this] { return std::chrono::steady_clock::now() >= deadline_; },
-      core::trigger_policy_from(cfg_), adaptive);
+      ca_trigger_, adaptive);
 }
 
 void ThreadEngine::route_externals(Worker& self, int src_node,
@@ -123,69 +122,38 @@ void ThreadEngine::forward_outbox(int node, std::vector<pdes::Event>& scratch) {
 
 void ThreadEngine::maybe_announce(Worker& self, int w) {
   const auto interval = static_cast<std::uint64_t>(cfg_.gvt_interval);
-  switch (cfg_.gvt) {
-    case GvtKind::kBarrier:
-      // Synchronous discipline: every worker requests a round on its own
-      // cadence; the first requester pulls the whole fleet into the fence,
-      // like Barrier GVT's collective entry.
-      if (self.iters_since_round >= interval) fence_->announce();
-      break;
-    case GvtKind::kMattern:
-      // Asynchronous discipline: one initiator (global worker 0) starts
-      // rounds on its cadence, everyone else only answers the announce.
-      if (w == 0 && self.iters_since_round >= interval) fence_->announce();
-      break;
-    case GvtKind::kControlledAsync: {
-      // Mattern cadence plus the paper's control triggers, with the shared
-      // policy arithmetic from core/gvt_policy.hpp. The queue-occupancy
-      // trigger fires from ANY worker the moment the in-flight backlog
-      // exceeds the bound (the stateless raw check — the stateful
-      // hysteresis/escalation policy is coordinator-owned inside the
-      // fence); the escalated kSync tier shortens the initiator's cadence.
-      const core::CaTriggerPolicy policy{
-          cfg_.ca_efficiency_threshold,
-          static_cast<std::uint64_t>(cfg_.ca_queue_threshold)};
-      const auto backlog = in_flight_.load(std::memory_order_relaxed);
-      if (backlog > 0 && policy.trips(1.0, static_cast<double>(backlog))) {
-        fence_->announce(/*control=*/true);
-        break;
-      }
-      if (w != 0) break;
-      const bool degraded = fence_->tier() == core::SyncTier::kSync;
-      const std::uint64_t effective =
-          degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
-      if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
-      break;
-    }
-    case GvtKind::kEpoch: {
-      // The real-thread fence quiesces every worker per round, which
-      // collapses the coroutine backend's always-in-flight pipeline into
-      // a Mattern-shaped cadence: one initiator, interval-clocked. The
-      // epoch protocol itself (tags, tree waves) lives in the simulated
-      // backend; here only the announce discipline differs per kind. The
-      // escalated kSync tier tightens the cadence the same way CA-GVT's
-      // degraded mode does (the quiesced-epoch analogue); kThrottle leaves
-      // the cadence alone — only the execution clamp engages.
-      if (w != 0) break;
-      const bool degraded = fence_->tier() == core::SyncTier::kSync;
-      const std::uint64_t effective =
-          degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
-      if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
-      break;
+  if (cfg_.gvt == GvtKind::kBarrier) {
+    // Synchronous discipline: every worker requests a round on its own
+    // cadence; the first requester pulls the whole fleet into the fence,
+    // like Barrier GVT's collective entry.
+    if (self.iters_since_round >= interval) fence_->announce();
+    return;
+  }
+  if (cfg_.gvt == GvtKind::kControlledAsync) {
+    // The paper's queue-occupancy trigger fires from ANY worker the moment
+    // the in-flight backlog exceeds the bound.
+    const auto backlog = in_flight_.load(std::memory_order_relaxed);
+    if (backlog > 0 && ca_trigger_.trips(1.0, static_cast<double>(backlog))) {
+      fence_->announce(/*control=*/true);
+      return;
     }
   }
+  // Asynchronous discipline: one initiator (global worker 0) starts rounds
+  // on its cadence, everyone else only answers the announce. The escalated
+  // kSync tier of the adaptive kinds shortens that cadence (the quiesced
+  // round analogue); the fence reports kAsync for every other kind.
+  if (w != 0) return;
+  const bool degraded = fence_->tier() == core::SyncTier::kSync;
+  const std::uint64_t effective =
+      degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
+  if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
 }
 
 void ThreadEngine::flow_tick(Worker& self) {
   const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
   const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
   self.tier = policy.classify(pool);
-  if (self.tier != core::PressureTier::kGreen && self.bound == pdes::kVtInfinity) {
-    // Engage immediately — waiting for the next adoption would let
-    // speculation overshoot the budget by a whole round's worth of history.
-    ++self.throttle_engagements;
-    self.bound = self.last_gvt + std::max(cfg_.flow.clamp, 1.0);
-  }
+  if (self.tier != core::PressureTier::kGreen) self.throttle.stress();
   if (self.tier == core::PressureTier::kRed && !self.red_announced) {
     // Pressure signaling through the fence: pull the fleet into a round so
     // the adopted GVT can fossil-collect the pool. One announce per round —
@@ -193,51 +161,6 @@ void ThreadEngine::flow_tick(Worker& self) {
     fence_->announce();
     self.red_announced = true;
     ++self.forced_rounds;
-  }
-}
-
-void ThreadEngine::flow_adopt(Worker& self, double gvt) {
-  self.last_gvt = gvt;
-  const bool storming = self.storm.fold_round();
-  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
-  const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
-  self.tier = policy.classify(pool);
-  self.red_announced = false;
-  const pdes::VirtualTime width = std::max(cfg_.flow.clamp, 1.0);
-  const bool stressed = storming || self.tier != core::PressureTier::kGreen;
-  if (stressed) {
-    self.calm = 0;
-    if (self.bound == pdes::kVtInfinity) {
-      ++self.throttle_engagements;
-      self.bound = gvt + width;
-    } else {
-      self.bound = cons::advance_clamp(self.bound, gvt, width);
-    }
-  } else if (self.bound != pdes::kVtInfinity) {
-    if (++self.calm >= kCalmRounds) {
-      self.bound = pdes::kVtInfinity;
-      self.calm = 0;
-    } else {
-      // Cooling off: keep the clamp sliding so progress never stalls while
-      // the hysteresis window drains.
-      self.bound = cons::advance_clamp(self.bound, gvt, width);
-    }
-  }
-}
-
-void ThreadEngine::policy_adopt(Worker& self, double gvt) {
-  // Apply the fence's decided tier to this worker's execution clamp. The
-  // tier was published by reduce() earlier in the same round, so every
-  // worker reads the fresh decision here (barriers order the accesses).
-  const core::SyncTier tier = fence_->tier();
-  const pdes::VirtualTime width = std::max(cfg_.gvt_throttle_clamp, 1.0);
-  if (tier == core::SyncTier::kAsync) {
-    self.policy_bound = pdes::kVtInfinity;
-  } else if (self.policy_bound == pdes::kVtInfinity) {
-    ++self.gvt_throttle_engagements;
-    self.policy_bound = gvt + width;
-  } else {
-    self.policy_bound = cons::advance_clamp(self.policy_bound, gvt, width);
   }
 }
 
@@ -266,9 +189,9 @@ void ThreadEngine::worker_main(int w) {
   for (;;) {
     drain_inbox(self, node);
     bool executed = false;
-    // The flow clamp and the GVT trigger policy's clamp compose by taking
+    // The flow throttle and the GVT trigger policy's clamp compose by taking
     // the tighter bound (same rule as the coroutine backend's worker loop).
-    const pdes::VirtualTime bound = std::min(self.bound, self.policy_bound);
+    const pdes::VirtualTime bound = std::min(self.throttle.bound(), self.policy.bound());
     for (int i = 0; i < cfg_.batch; ++i) {
       pdes::Outcome out = bound == pdes::kVtInfinity
                               ? self.kernel.process_next()
@@ -294,8 +217,15 @@ void ThreadEngine::worker_main(int w) {
           [&] { return contribute(self); },
           [&](double gvt) {
             self.kernel.sample_pool_peak();
-            if (flow_on) flow_adopt(self, gvt);
-            policy_adopt(self, gvt);
+            if (flow_on) {
+              self.red_announced = false;
+              const bool storming = self.storm.fold_round();
+              self.throttle.adopt(gvt, storming || self.tier != core::PressureTier::kGreen);
+            }
+            // The tier was published by reduce() earlier in this round;
+            // the fence barriers order the read.
+            self.policy.follow(fence_->tier() != core::SyncTier::kAsync, gvt,
+                               cfg_.gvt_throttle_clamp);
             self.kernel.fossil_collect(gvt);
           });
       self.iters_since_round = 0;
@@ -365,10 +295,10 @@ core::SimulationResult ThreadEngine::run(double max_wall_seconds) {
     result.remote_msgs += worker->remote_msgs;
     if (cfg_.flow.enabled()) {
       result.flow_storms += worker->storm.storms();
-      result.flow_throttle_engagements += worker->throttle_engagements;
+      result.flow_throttle_engagements += worker->throttle.engagements();
       result.flow_forced_rounds += worker->forced_rounds;
     }
-    result.gvt_throttle_engagements += worker->gvt_throttle_engagements;
+    result.gvt_throttle_engagements += worker->policy.engagements();
   }
   result.peak_event_pool = result.events.pool_peak;
   result.wall_seconds =

@@ -11,18 +11,21 @@
 //   * a real agent thread per node under kDedicated; under kCombined the
 //     node's worker 0 forwards the outbox every combined_mpi_poll_period
 //     iterations (the starvation effect the paper's dedicated thread fixes)
-//   * the cooperative GVT round is replaced by exec::GvtFence; the three
-//     GvtKinds differ only in WHO announces a round and WHEN (see
-//     maybe_announce), the fence protocol itself is shared
+//   * the cooperative GVT round is replaced by exec::GvtFence; the GvtKinds
+//     differ only in WHO announces a round (see maybe_announce), the fence
+//     protocol itself is shared
 //   * overload protection (--flow=bounded) stays thread-partitioned: each
-//     worker owns its StormDetector, pressure tier, and throttle bound, fed
-//     only from its own kernel. Red pressure signals the fleet through the
-//     fence (announce a round so fossil collection can relieve the pool);
-//     there is no cancelback here — no simulated transport to carry events
-//     back — so relief is forced rounds plus the optimism clamp. The shared
-//     arithmetic (core::FlowPressurePolicy, cons::advance_clamp,
-//     flow::StormDetector) is identical to the coroutine backend's
-//     flow::Controller, so pressure semantics cannot diverge.
+//     worker owns its StormDetector, pressure tier and cons::Throttle, fed
+//     only from its own kernel — the same per-worker classification
+//     (core::FlowPressurePolicy), storm detector and throttle that
+//     flow::Controller runs for each coroutine worker, with the tier taken
+//     at the last tick. Red pressure signals the fleet through the fence
+//     (announce a round so fossil collection can relieve the pool); there
+//     is no cancelback here — no simulated transport to carry events back —
+//     so relief is forced rounds plus the optimism clamp.
+//   * the adaptive policy's throttle tier is one cons::Clamp per worker,
+//     following the fence's decided tier at every adoption (NodeRuntime
+//     holds the same clamp per node on the coroutine backend).
 //
 // The kernels stay single-owner — only the owning thread touches its
 // pending set and rollback machinery; cross-thread hand-off happens
@@ -43,6 +46,7 @@
 #include <memory>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "core/config.hpp"
 #include "core/gvt_policy.hpp"
 #include "core/simulation.hpp"
@@ -69,8 +73,8 @@ class ThreadEngine {
  private:
   struct alignas(64) Worker {
     Worker(const pdes::Model& model, const pdes::LpMap& map, int global_worker,
-           pdes::KernelConfig kcfg)
-        : kernel(model, map, global_worker, kcfg) {}
+           pdes::KernelConfig kcfg, pdes::VirtualTime flow_clamp)
+        : kernel(model, map, global_worker, kcfg), throttle(flow_clamp) {}
 
     pdes::ThreadKernel kernel;
     MpscQueue<pdes::Event> inbox;
@@ -87,17 +91,12 @@ class ThreadEngine {
     // --- overload protection (--flow=bounded), all owner-thread-only ------
     flow::StormDetector storm{};            // threshold set by the ctor
     core::PressureTier tier = core::PressureTier::kGreen;
-    pdes::VirtualTime bound = pdes::kVtInfinity;  // throttle clamp
-    pdes::VirtualTime last_gvt = 0;         // last adopted round value
-    int calm = 0;                           // hysteresis rounds below stress
+    cons::Throttle throttle;
     bool red_announced = false;             // one forced announce per round
-    std::uint64_t throttle_engagements = 0;
     std::uint64_t forced_rounds = 0;
 
-    // --- GVT trigger-policy clamp (CA-GVT / epoch tiers), owner-thread-only.
-    // Composes with the flow clamp by std::min in the worker loop.
-    pdes::VirtualTime policy_bound = pdes::kVtInfinity;
-    std::uint64_t gvt_throttle_engagements = 0;
+    // GVT trigger-policy clamp (CA-GVT / epoch tiers), owner-thread-only.
+    cons::Clamp policy;
   };
 
   void worker_main(int w);
@@ -114,28 +113,20 @@ class ThreadEngine {
   /// the agent thread, or the combined-duty worker). Leaves in_flight_
   /// untouched — forwarded messages are still in flight.
   void forward_outbox(int node, std::vector<pdes::Event>& scratch);
-  /// Per-GvtKind round trigger, evaluated once per worker loop iteration.
+  /// Round trigger, evaluated once per worker loop iteration.
   void maybe_announce(Worker& self, int w);
   FenceContribution contribute(Worker& self);
-  /// Classify this worker's event-pool pressure; red announces a fence
-  /// round (once per round) so fossil collection can relieve the pool.
+  /// Classify this worker's event-pool pressure: stress engages the
+  /// throttle, and red announces a fence round (once per round) so fossil
+  /// collection can relieve the pool.
   void flow_tick(Worker& self);
-  /// Per-round overload bookkeeping at GVT adoption: fold the storm
-  /// detector, reclassify pressure, and engage/advance/release the
-  /// throttle clamp with hysteresis (same rule as flow::Controller).
-  void flow_adopt(Worker& self, double gvt);
-  /// Apply the fence's decided SyncTier to this worker's policy clamp at
-  /// GVT adoption (engage/advance on kThrottle/kSync, release on kAsync —
-  /// same advance_clamp rule as the coroutine backend's NodeRuntime).
-  void policy_adopt(Worker& self, double gvt);
 
   bool uses_outbox() const { return cfg_.mpi != core::MpiPlacement::kEverywhere; }
 
-  /// Throttle hysteresis: stress-free rounds before the clamp releases
-  /// (mirrors flow::Controller::kCalmRounds).
-  static constexpr int kCalmRounds = 2;
-
   core::SimulationConfig cfg_;
+  /// CA-GVT's stateless backlog trigger (the stateful policy runs in the
+  /// fence coordinator).
+  core::CaTriggerPolicy ca_trigger_;
   const pdes::Model& model_;
   pdes::LpMap map_;
   std::atomic<std::int64_t> in_flight_{0};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cons/clamp.hpp"
 #include "util/assert.hpp"
 
 namespace cagvt::flow {
@@ -15,9 +14,7 @@ Controller::Controller(const FlowConfig& cfg, int workers,
       tier_(static_cast<std::size_t>(workers), core::PressureTier::kGreen),
       quota_(static_cast<std::size_t>(workers), 0),
       detectors_(static_cast<std::size_t>(workers), StormDetector(cfg.storm)),
-      bound_(static_cast<std::size_t>(workers), pdes::kVtInfinity),
-      gvt_(static_cast<std::size_t>(workers), 0.0),
-      calm_(static_cast<std::size_t>(workers), 0),
+      throttles_(static_cast<std::size_t>(workers), cons::Throttle(cfg.clamp)),
       parked_(static_cast<std::size_t>(workers)) {
   CAGVT_CHECK_MSG(cfg_.enabled(), "flow::Controller built with --flow=off");
   CAGVT_CHECK(workers_ > 0);
@@ -51,13 +48,7 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
                             static_cast<std::int64_t>(policy.budget));
   }
 
-  if (tier != core::PressureTier::kGreen && bound_[w] == pdes::kVtInfinity) {
-    // Engage the throttle the moment pressure appears — waiting for the
-    // next round adoption would let speculation overshoot the budget by a
-    // whole round's worth of history.
-    ++throttle_engagements_;
-    bound_[w] = gvt_[w] + clamp_width();
-  }
+  if (tier != core::PressureTier::kGreen) throttles_[w].stress();
 
   if (tier == core::PressureTier::kRed) {
     ++red_ticks_;
@@ -155,7 +146,6 @@ void Controller::note_round_begin() {
 
 void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
   const std::size_t w = static_cast<std::size_t>(worker);
-  gvt_[w] = gvt;
   if (round > last_round_) {
     last_round_ = round;
     if (round_inflight_) {  // the forced round has been adopted
@@ -171,27 +161,8 @@ void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
     trace_->flow_storm(worker, static_cast<std::uint64_t>(std::max<std::int64_t>(round, 0)),
                        det.storming(), det.secondary_fraction(), det.depth_ewma());
 
-  // Throttle: engage/refresh the horizon clamp while the worker is either
-  // storming or above green pressure; release after kCalmRounds calm rounds.
-  const bool stressed =
-      det.storming() || tier_[w] != core::PressureTier::kGreen;
-  if (stressed) {
-    calm_[w] = 0;
-    if (bound_[w] == pdes::kVtInfinity) {
-      ++throttle_engagements_;
-      bound_[w] = gvt + clamp_width();
-    } else {
-      bound_[w] = cons::advance_clamp(bound_[w], gvt, clamp_width());
-    }
-  } else if (bound_[w] != pdes::kVtInfinity) {
-    if (++calm_[w] >= kCalmRounds) {
-      bound_[w] = pdes::kVtInfinity;
-      calm_[w] = 0;
-    } else {
-      // Still cooling off: keep the clamp sliding so progress continues.
-      bound_[w] = cons::advance_clamp(bound_[w], gvt, clamp_width());
-    }
-  }
+  // The worker is stressed while storming or above green pressure.
+  throttles_[w].adopt(gvt, det.storming() || tier_[w] != core::PressureTier::kGreen);
 }
 
 std::vector<pdes::Event> Controller::parked_events(int worker) const {
@@ -217,11 +188,16 @@ void Controller::restore_parked(int worker, const std::vector<pdes::Event>& park
 void Controller::on_restore() {
   std::fill(tier_.begin(), tier_.end(), core::PressureTier::kGreen);
   std::fill(quota_.begin(), quota_.end(), 0);
-  std::fill(bound_.begin(), bound_.end(), pdes::kVtInfinity);
-  std::fill(calm_.begin(), calm_.end(), 0);
+  for (cons::Throttle& throttle : throttles_) throttle.reset();
   for (StormDetector& det : detectors_) det.reset();
   round_requested_ = false;
   round_inflight_ = false;
+}
+
+std::uint64_t Controller::throttle_engagements() const {
+  std::uint64_t total = 0;
+  for (const cons::Throttle& throttle : throttles_) total += throttle.engagements();
+  return total;
 }
 
 std::uint64_t Controller::storms() const {

@@ -24,14 +24,13 @@
 //
 //  * adaptive optimism throttling — on storm or yellow pressure a worker's
 //    execution horizon is clamped to GVT + clamp (the Korniss-Novotny
-//    suppression), per worker, sliding forward with each round via the
-//    shared cons/clamp.hpp rule, and self-releasing after consecutive calm
-//    rounds (hysteresis).
+//    suppression) by its own cons::Throttle (cons/clamp.hpp), which slides
+//    with each round and self-releases after consecutive calm rounds.
 //
 // Threading: like cons::Controller, one instance serves the whole cluster
 // on the coroutine backend's single metasim engine thread — no locking.
-// The real-thread backend does not use this class: it carries budgets,
-// detectors and clamps per worker and signals pressure through the GVT
+// The real-thread backend does not use this class: each worker carries its
+// own detector and cons::Throttle and signals pressure through the GVT
 // fence (exec/gvt_fence.hpp); cancelback needs simulated transport, so
 // threads-backend relief is forced rounds + clamping only.
 #pragma once
@@ -40,6 +39,7 @@
 #include <deque>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "core/gvt_policy.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/flow_config.hpp"
@@ -128,7 +128,7 @@ class Controller {
 
   /// Largest recv_ts `worker` may execute (kVtInfinity when unthrottled).
   pdes::VirtualTime exec_bound(int worker) const {
-    return bound_[static_cast<std::size_t>(worker)];
+    return throttles_[static_cast<std::size_t>(worker)].bound();
   }
 
   // --- recovery ------------------------------------------------------------
@@ -148,7 +148,7 @@ class Controller {
   std::uint64_t releases() const { return releases_; }
   std::uint64_t absorbed_antis() const { return absorbed_antis_; }
   std::uint64_t forced_rounds() const { return forced_rounds_; }
-  std::uint64_t throttle_engagements() const { return throttle_engagements_; }
+  std::uint64_t throttle_engagements() const;
   std::uint64_t red_ticks() const { return red_ticks_; }
   std::uint64_t storms() const;
   /// Peak pool occupancy seen by on_tick across all workers (tick-sampled;
@@ -166,12 +166,7 @@ class Controller {
   };
 
   static constexpr std::int64_t kMaxHoldRounds = 2;
-  static constexpr int kCalmRounds = 2;       // throttle-release hysteresis
   static constexpr std::size_t kReleaseBatch = 64;
-
-  pdes::VirtualTime clamp_width() const {
-    return static_cast<pdes::VirtualTime>(cfg_.clamp < 1.0 ? 1.0 : cfg_.clamp);
-  }
 
   FlowConfig cfg_;
   int workers_;
@@ -181,9 +176,7 @@ class Controller {
   std::vector<core::PressureTier> tier_;
   std::vector<std::size_t> quota_;
   std::vector<StormDetector> detectors_;
-  std::vector<pdes::VirtualTime> bound_;
-  std::vector<pdes::VirtualTime> gvt_;  // last adopted GVT, per worker
-  std::vector<int> calm_;
+  std::vector<cons::Throttle> throttles_;
   std::vector<std::deque<Parked>> parked_;
 
   std::int64_t last_round_ = -1;
@@ -194,7 +187,6 @@ class Controller {
   std::uint64_t releases_ = 0;
   std::uint64_t absorbed_antis_ = 0;
   std::uint64_t forced_rounds_ = 0;
-  std::uint64_t throttle_engagements_ = 0;
   std::uint64_t red_ticks_ = 0;
   std::uint64_t peak_pool_ = 0;
 

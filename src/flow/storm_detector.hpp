@@ -14,13 +14,15 @@
 //
 // The detector is fed one note() per rollback episode (from the kernel's
 // note_rollback hook) and folded once per GVT round. It releases with
-// hysteresis: a declared storm persists until kCalmRounds consecutive
+// hysteresis: a declared storm persists until cons::kCalmRounds consecutive
 // rounds show neither trigger, so the throttle does not flap at the
 // threshold. Header-only and thread-free: each worker owns one detector
 // (the real-thread backend keeps them thread-partitioned).
 #pragma once
 
 #include <cstdint>
+
+#include "cons/clamp.hpp"
 
 namespace cagvt::flow {
 
@@ -58,7 +60,7 @@ class StormDetector {
       if (!storming_) ++storms_;
       storming_ = true;
       calm_rounds_ = 0;
-    } else if (storming_ && ++calm_rounds_ >= kCalmRounds) {
+    } else if (storming_ && ++calm_rounds_ >= cons::kCalmRounds) {
       storming_ = false;
     }
     return storming_;
@@ -78,7 +80,6 @@ class StormDetector {
   static constexpr std::uint64_t kMinEpisodes = 4;  // ignore idle / trickle rounds
   static constexpr double kDeepDepth = 8.0;   // mean depth floor for slope trigger
   static constexpr double kSlopeEps = 0.5;    // per-round depth growth that counts
-  static constexpr int kCalmRounds = 2;       // hysteresis: quiet rounds to release
 
   double threshold_;
   std::uint64_t episodes_ = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "cons/cons_config.hpp"
@@ -23,6 +24,10 @@ struct ConsCase {
   const char* model;
   const char* options;
 };
+
+// gtest would otherwise print the case as a dump of its pointer bytes, which
+// puts address-space-layout-randomised values into the registered test name.
+void PrintTo(const ConsCase& c, std::ostream* os) { *os << c.name; }
 
 class ConservativeGolden : public ::testing::TestWithParam<ConsCase> {};
 

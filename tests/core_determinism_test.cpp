@@ -4,6 +4,8 @@
 // event set for a given model.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/simulation.hpp"
 #include "models/registry.hpp"
 
@@ -14,6 +16,10 @@ struct ModelCase {
   const char* model;
   const char* options;
 };
+
+// gtest would otherwise print the case as a dump of its pointer bytes, which
+// puts address-space-layout-randomised values into the registered test name.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.model; }
 
 class ModelSweep : public ::testing::TestWithParam<ModelCase> {};
 

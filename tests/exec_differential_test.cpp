@@ -19,6 +19,7 @@
 
 #include "core/simulation.hpp"
 #include "exec/backend.hpp"
+#include "flow/flow_config.hpp"
 #include "models/registry.hpp"
 #include "pdes/seqref.hpp"
 
@@ -144,30 +145,42 @@ TEST(DifferentialTest, ClampedEpochsMatchSeqrefOnBothBackends) {
   // round and escalate=0 pins the policy at the throttle tier, so both
   // backends run the entire simulation with the execution clamp engaged
   // (and zero synchronous rounds). Clamping only delays optimistic work;
-  // the committed results must still equal the sequential reference.
-  for (const GvtKind kind : {GvtKind::kControlledAsync, GvtKind::kEpoch}) {
-    SimulationConfig cfg = golden_config();
-    cfg.gvt = kind;
-    cfg.ca_efficiency_threshold = 1.0;
-    cfg.gvt_escalate_rounds = 0;
-    cfg.gvt_throttle_clamp = 2.0;
-    const pdes::LpMap map = core::Simulation::make_map(cfg);
-    const auto model = models::make_model(
-        "phold", Options::parse_kv("remote=0.1,regional=0.3,epg=500"), map, cfg.end_vt);
-    const Oracle want = reference_for(cfg, *model);
-    const std::string tag = std::string("clamped/") + std::string(to_string(kind));
+  // the committed results must still equal the sequential reference. The
+  // second input narrows both clamps below one virtual-time unit (policy
+  // clamp 0.25 plus a flow throttle at 0.5); both backends use the widths
+  // as given.
+  struct ClampCase {
+    double gvt_clamp;
+    const char* flow;
+  };
+  for (const ClampCase clamp :
+       {ClampCase{2.0, "off"}, ClampCase{0.25, "bounded,mem=32,clamp=0.5"}}) {
+    for (const GvtKind kind : {GvtKind::kControlledAsync, GvtKind::kEpoch}) {
+      SimulationConfig cfg = golden_config();
+      cfg.gvt = kind;
+      cfg.ca_efficiency_threshold = 1.0;
+      cfg.gvt_escalate_rounds = 0;
+      cfg.gvt_throttle_clamp = clamp.gvt_clamp;
+      cfg.flow = flow::parse_flow(clamp.flow);
+      const pdes::LpMap map = core::Simulation::make_map(cfg);
+      const auto model = models::make_model(
+          "phold", Options::parse_kv("remote=0.1,regional=0.3,epg=500"), map, cfg.end_vt);
+      const Oracle want = reference_for(cfg, *model);
+      const std::string tag = "clamped/" + std::to_string(clamp.gvt_clamp) + "/" +
+                              clamp.flow + "/" + std::string(to_string(kind));
 
-    const SimulationResult coro =
-        run_simulation(cfg, *model, BackendKind::kCoro, 120.0);
-    expect_matches(coro, want, tag + "/coro");
-    EXPECT_EQ(coro.sync_rounds, 0u) << tag;
-    EXPECT_GT(coro.gvt_throttle_rounds, 0u) << tag;
+      const SimulationResult coro =
+          run_simulation(cfg, *model, BackendKind::kCoro, 120.0);
+      expect_matches(coro, want, tag + "/coro");
+      EXPECT_EQ(coro.sync_rounds, 0u) << tag;
+      EXPECT_GT(coro.gvt_throttle_rounds, 0u) << tag;
 
-    const SimulationResult threads =
-        run_simulation(cfg, *model, BackendKind::kThreads, 120.0);
-    expect_matches(threads, want, tag + "/threads");
-    EXPECT_GT(threads.gvt_throttle_rounds, 0u) << tag;
-    EXPECT_GT(threads.gvt_throttle_engagements, 0u) << tag;
+      const SimulationResult threads =
+          run_simulation(cfg, *model, BackendKind::kThreads, 120.0);
+      expect_matches(threads, want, tag + "/threads");
+      EXPECT_GT(threads.gvt_throttle_rounds, 0u) << tag;
+      EXPECT_GT(threads.gvt_throttle_engagements, 0u) << tag;
+    }
   }
 }
 

@@ -210,6 +210,8 @@ TEST(FlowThreadsTest, ThreadsBackendBoundedMatchesOracle) {
     EXPECT_EQ(r.committed_fingerprint, ref.fingerprint()) << to_string(kind);
     EXPECT_EQ(r.state_hash, ref.state_hash()) << to_string(kind);
     EXPECT_GT(r.peak_event_pool, 0u) << to_string(kind);
+    // The per-worker flow throttle must actually engage on this config.
+    EXPECT_GT(r.flow_throttle_engagements, 0u) << to_string(kind);
   }
 }
 
