@@ -229,6 +229,10 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(r.flow_storms),
                 static_cast<unsigned long long>(r.flow_throttle_engagements),
                 static_cast<unsigned long long>(r.flow_forced_rounds));
+  if (backend == exec::BackendKind::kCoro)
+    std::printf("engine dispatches   : %llu (%llu idle polls elided)\n",
+                static_cast<unsigned long long>(r.engine_dispatched),
+                static_cast<unsigned long long>(r.engine_polls_elided));
   std::printf("final GVT           : %.3f%s\n", r.final_gvt, r.completed ? "" : "  [INCOMPLETE]");
 
   if (trace) {

@@ -39,6 +39,16 @@ class BarrierGvt final : public GvtAlgorithm {
   metasim::Process agent_tick(WorkerCtx* self) override;
   bool agent_done() const override { return !round_active_; }
 
+  // Mirror the early returns at the top of worker_tick and agent_tick.
+  bool worker_tick_is_noop(const WorkerCtx& worker) const override {
+    const bool flow_forced = node_.flow() != nullptr && node_.flow()->round_requested();
+    return worker.gvt.iters_since_round + 1 < node_.cfg().gvt_interval && !flow_forced;
+  }
+  bool agent_tick_is_noop(const WorkerCtx* self) const override {
+    (void)self;
+    return !node_.cfg().has_dedicated_mpi() || !round_active_;
+  }
+
   void on_token(const MatternToken& token) override {
     (void)token;
     CAGVT_CHECK_MSG(false, "Barrier GVT uses collectives, not tokens");

@@ -198,6 +198,25 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
+bool EpochGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
+  // Mirrors worker_tick: open the pipeline, join, deferred reads, adopt.
+  if (phase_ == Phase::kIdle) return node_.stopped();
+  if (worker.gvt.epoch < epoch_) return false;
+  if (worker_held(worker)) return false;
+  return !(phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ && !worker.gvt.adopted);
+}
+
+bool EpochGvt::agent_tick_is_noop(const WorkerCtx* self) const {
+  // Mirrors agent_tick: the dedicated agent's two sync barriers, then the
+  // reduction.
+  (void)self;
+  if (node_.cfg().has_dedicated_mpi() && sync_epoch_ &&
+      ((agent_prejoin_epoch_ < epoch_ && phase_ != Phase::kIdle) ||
+       (agent_postfossil_epoch_ < epoch_ && phase_ == Phase::kBroadcast)))
+    return false;
+  return phase_ != Phase::kReduce;
+}
+
 Process EpochGvt::agent_tick(WorkerCtx* self) {
   // The dedicated MPI thread is a party of a synchronous epoch's two
   // barriers. The joined-epoch markers are recorded BEFORE the await:

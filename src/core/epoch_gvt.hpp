@@ -76,6 +76,8 @@ class EpochGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
+  bool worker_tick_is_noop(const WorkerCtx& worker) const override;
+  bool agent_tick_is_noop(const WorkerCtx* self) const override;
 
   void on_token(const MatternToken& token) override {
     (void)token;

@@ -16,6 +16,8 @@
 //                       otherwise worker 0 (which then performs agent
 //                       duties inside its own worker_tick).
 //  * on_token         — a Mattern-style control message arrived.
+//  * *_tick_is_noop   — side-effect-free mirrors of the two ticks' trigger
+//                       conditions, asked before an idle poll is elided.
 #pragma once
 
 #include <memory>
@@ -54,6 +56,15 @@ class GvtAlgorithm {
   /// (combined/everywhere placements); nullptr on a dedicated MPI thread.
   virtual metasim::Process agent_tick(WorkerCtx* self) = 0;
   virtual void on_token(const MatternToken& token) = 0;
+
+  /// Idle-poll elision (DESIGN §8): would worker_tick(worker) change
+  /// nothing and schedule nothing, on an iteration that finds the worker
+  /// idle? The iteration has already counted itself, so interval triggers
+  /// are evaluated against iters_since_round + 1. Must be side-effect free
+  /// and mirror worker_tick's conditions; answer false when unsure.
+  virtual bool worker_tick_is_noop(const WorkerCtx& worker) const = 0;
+  /// The same question for agent_tick(self).
+  virtual bool agent_tick_is_noop(const WorkerCtx* self) const = 0;
 
   /// May the MPI agent exit once the node has stopped? Guards against
   /// leaving a round's cross-node protocol half-finished.

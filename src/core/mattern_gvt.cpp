@@ -233,6 +233,19 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
+bool MatternGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
+  // One clause per block of worker_tick, in order. Joining (begin_round or
+  // the colour flip) is the only step that changes phase_ here, so every
+  // later clause sees the phase the tick would see.
+  if (phase_ == Phase::kIdle)
+    return worker.gvt.iters_since_round + 1 < node_.cfg().gvt_interval &&
+           !(node_.flow() != nullptr && node_.flow()->round_requested());
+  if (worker.gvt.color != cur_color_) return phase_ != Phase::kRed;
+  if (worker_held(worker)) return false;
+  if (phase_ == Phase::kCollect && !worker.gvt.contributed) return false;
+  return !(phase_ == Phase::kBroadcast && !worker.gvt.adopted);
+}
+
 Process MatternGvt::agent_barrier(const char* which) {
   node_.trace().barrier_enter(node_.rank(), /*worker=*/-1, round_, which);
   co_await node_.collectives().barrier_agent();
@@ -328,6 +341,25 @@ Process MatternGvt::agent_tick(WorkerCtx* self) {
       if (token.visits < node_.fabric().nranks()) co_await send_token(token);
     }
   }
+}
+
+bool MatternGvt::agent_tick_is_noop(const WorkerCtx* self) const {
+  (void)self;
+  const int workers = node_.cfg().workers_per_node();
+  if (node_.cfg().has_dedicated_mpi() && sync_round_active_ &&
+      ((agent_stage_ == 0 && phase_ != Phase::kIdle) ||
+       (agent_stage_ == 1 && phase_ == Phase::kCollect) ||
+       (agent_stage_ == 2 && phase_ == Phase::kBroadcast)))
+    return false;
+  if (phase_ == Phase::kIdle && agent_stage_ != 0) return false;  // the stage reset
+  if (phase_ == Phase::kRed && red_count_ == workers && !counting_done_) return false;
+  const bool can_forward =
+      phase_ == Phase::kCollect && contributions_ == workers && !collect_forwarded_;
+  if (can_forward && node_.rank() == 0) return false;
+  // A held Collect token at rank > 0 waits for the local contributions;
+  // every other held token moves on this tick.
+  return !have_token_ || (held_.phase == MatternToken::Phase::kCollect &&
+                          node_.rank() != 0 && !can_forward);
 }
 
 }  // namespace cagvt::core

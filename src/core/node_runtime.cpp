@@ -152,8 +152,9 @@ std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_
 }
 
 Process NodeRuntime::worker_main(WorkerCtx& worker) {
+  metasim::FnPoller poller([this, &worker] { return skip_worker_iteration(worker); });
   while (!stop_ || !gvt_->worker_done(worker)) {
-    if (faults_ != nullptr && faults_->node_down(node_id_)) {
+    if (down()) {
       co_await halt_if_down();
       continue;
     }
@@ -190,8 +191,33 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
     ++worker.gvt.iters_since_round;
     if (worker.mpi_duty) co_await gvt_->agent_tick(&worker);
     co_await gvt_->worker_tick(worker);
-    if (!did_work) co_await delay(cpu(cfg_.cluster.idle_poll));
+    if (!did_work) co_await metasim::park(poller, cpu(cfg_.cluster.idle_poll));
   }
+}
+
+SimTime NodeRuntime::skip_worker_iteration(WorkerCtx& worker) {
+  constexpr SimTime kResume = metasim::Poller::kResume;
+  // The loop would exit or halt; cons and flow ticks update their
+  // controllers on every iteration.
+  if ((stop_ && gvt_->worker_done(worker)) || down() || cons_ != nullptr || flow_ != nullptr)
+    return kResume;
+  if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
+      worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0 &&
+      !mpi_idle())
+    return kResume;
+  if (cfg_.mpi == MpiPlacement::kEverywhere && !fabric_.inbox(node_id_).empty()) return kResume;
+  // Checked before the kernel, whose query may drop cancelled entries off
+  // the pending heap: it must run only where process_next would.
+  if (gvt_->worker_held(worker) || !worker.regional_in.items.empty() ||
+      !worker.remote_in.items.empty())
+    return kResume;
+  if (worker.kernel.has_runnable(gvt_clamp_.bound())) return kResume;
+  if ((worker.mpi_duty && !gvt_->agent_tick_is_noop(&worker)) ||
+      !gvt_->worker_tick_is_noop(worker))
+    return kResume;
+  ++worker.iterations;
+  ++worker.gvt.iters_since_round;
+  return cpu(cfg_.cluster.idle_poll);
 }
 
 Process NodeRuntime::cons_tick(WorkerCtx& worker, int processed, bool* did_work) {
@@ -242,16 +268,29 @@ Process NodeRuntime::flow_tick(WorkerCtx& worker, bool* did_work) {
 }
 
 Process NodeRuntime::mpi_main() {
+  metasim::FnPoller poller([this] { return skip_mpi_iteration(); });
   while (!stop_ || !gvt_->agent_done()) {
-    if (faults_ != nullptr && faults_->node_down(node_id_)) {
+    if (down()) {
       co_await halt_if_down();
       continue;
     }
     bool did_work = false;
     co_await mpi_progress(&did_work);
     co_await gvt_->agent_tick(nullptr);
-    if (!did_work) co_await delay(cpu(cfg_.cluster.mpi_poll));
+    if (!did_work) co_await metasim::park(poller, cpu(cfg_.cluster.mpi_poll));
   }
+}
+
+SimTime NodeRuntime::skip_mpi_iteration() {
+  if ((stop_ && gvt_->agent_done()) || down() || !mpi_idle() ||
+      !gvt_->agent_tick_is_noop(nullptr))
+    return metasim::Poller::kResume;
+  return cpu(cfg_.cluster.mpi_poll);
+}
+
+bool NodeRuntime::mpi_idle() const {
+  return (faults_ == nullptr || faults_->mpi_stall_until(node_id_) <= engine_.now()) &&
+         mpi_outbox_.items.empty() && fabric_.inbox(node_id_).empty();
 }
 
 Process NodeRuntime::halt_if_down() {

@@ -310,6 +310,8 @@ class NodeRuntime {
   metasim::SimTime cpu(metasim::SimTime base) const {
     return faults_ == nullptr ? base : faults_->scale_cpu(node_id_, base);
   }
+  /// Inside a crash window (see halt_if_down).
+  bool down() const { return faults_ != nullptr && faults_->node_down(node_id_); }
   /// MPI stall pulses: block until the agent's current pulse (if any) ends.
   metasim::Process stall_if_faulted();
   /// Crash windows: a thread reaching its loop top while the node is down
@@ -319,6 +321,17 @@ class NodeRuntime {
 
   metasim::Process worker_main(WorkerCtx& worker);
   metasim::Process mpi_main();
+  /// Idle-poll elision (DESIGN §8), asked by the engine when a parked
+  /// loop's poll falls due: if the loop's next iteration would change
+  /// nothing but the worker's iteration counters and end in another idle
+  /// poll, perform those increments and return that poll's delay;
+  /// otherwise return Poller::kResume. Each clause mirrors one step of
+  /// worker_main / mpi_main and answers "resume" where unsure.
+  metasim::SimTime skip_worker_iteration(WorkerCtx& worker);
+  metasim::SimTime skip_mpi_iteration();
+  /// True when mpi_progress would find nothing to do: no stall pulse and
+  /// both the outbox and the node's fabric inbox empty.
+  bool mpi_idle() const;
   /// Conservative modes: run the controller's per-batch step and route the
   /// control messages (nulls, null requests) it wants sent.
   metasim::Process cons_tick(WorkerCtx& worker, int processed, bool* did_work);

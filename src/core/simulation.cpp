@@ -129,6 +129,8 @@ SimulationResult Simulation::run(double max_wall_seconds) {
 
   SimulationResult result;
   result.completed = true;
+  result.engine_dispatched = engine.dispatched();
+  result.engine_polls_elided = engine.polls_elided();
   for (auto& node : nodes) {
     if (!node->stopped()) {
       result.completed = false;
@@ -217,6 +219,8 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   // carries both the live-run counters and the end-of-run aggregates.
   trace->set_clock(nullptr);
   if (metrics->enabled()) {
+    metrics->counter("metasim.dispatched").inc(result.engine_dispatched);
+    metrics->counter("metasim.polls_elided").inc(result.engine_polls_elided);
     metrics->gauge("run.committed").set(static_cast<double>(result.events.committed));
     metrics->gauge("run.processed").set(static_cast<double>(result.events.processed));
     metrics->gauge("run.rolled_back").set(static_cast<double>(result.events.rolled_back));

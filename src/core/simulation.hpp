@@ -62,6 +62,12 @@ struct SimulationResult {
   /// --tree-arity > 0 or --gvt=epoch).
   std::uint64_t tree_frames = 0;
 
+  // --- coroutine substrate (0 on the threads backend) ---------------------
+  /// Continuations the metasim engine dispatched, elided idle polls included.
+  std::uint64_t engine_dispatched = 0;
+  /// Idle polls answered without resuming their loop (DESIGN §8).
+  std::uint64_t engine_polls_elided = 0;
+
   // --- reliable transport / recovery (all 0 on healthy runs) -------------
   std::uint64_t retransmits = 0;         // frames re-sent on timeout
   std::uint64_t acks_sent = 0;           // transport acks put on the wire

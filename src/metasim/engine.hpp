@@ -2,8 +2,9 @@
 //
 // The engine dispatches timed continuations in (time, sequence) order, so a
 // given program produces bit-identical schedules on every run. Continuations
-// are either coroutine resumptions (simulated threads — see process.hpp) or
-// plain callbacks (e.g. network message delivery).
+// are coroutine resumptions (simulated threads — see process.hpp), plain
+// callbacks (e.g. network message delivery), or polls of a parked idle
+// loop (see Poller below).
 //
 // Concurrency contract: an Engine and everything scheduled on it belong to
 // exactly ONE OS thread — the one that constructed it. "Parallelism" on
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -30,6 +30,31 @@
 #include "util/assert.hpp"
 
 namespace cagvt::metasim {
+
+/// A simulated thread parked in an idle polling loop (see Engine::poll_at).
+///
+/// Instead of resuming the thread at every poll only to find nothing to do,
+/// the engine asks skip() first. skip() runs at the poll's time and either
+/// performs the side effects of one no-op loop iteration itself and returns
+/// the delay to the next poll, or returns kResume to wake the thread. A
+/// no-op iteration must schedule nothing but its trailing poll: the engine
+/// re-arms that poll with the next sequence number, exactly the entry the
+/// iteration's own `co_await delay(...)` would have queued, so eliding it
+/// leaves the dispatch order of every other entry unchanged (DESIGN §8).
+class Poller {
+ public:
+  static constexpr SimTime kResume = -1;
+
+  /// Account one no-op iteration and return the delay (>= 0) to the next
+  /// poll, or return kResume. Must not schedule anything on the engine.
+  virtual SimTime skip() = 0;
+
+  /// The parked coroutine; set by the awaitable that parks it.
+  std::coroutine_handle<> handle;
+
+ protected:
+  ~Poller() = default;
+};
 
 class Engine {
  public:
@@ -43,17 +68,29 @@ class Engine {
 
   /// Schedule `fn` to run at absolute time `when` (>= now). Dispatch order
   /// between equal times is FIFO by scheduling order.
-  void call_at(SimTime when, std::function<void()> fn);
+  void call_at(SimTime when, std::function<void()> fn) {
+    push_call(when, std::move(fn), Kind::kCall);
+  }
   void call_after(SimTime delay, std::function<void()> fn) { call_at(now_ + delay, std::move(fn)); }
 
   /// Daemon variant: like call_at, but the event does not keep the engine
   /// alive — run() returns (without advancing the clock) once only daemon
   /// events remain. Background instrumentation (e.g. fault-window edges)
   /// uses this so a run's duration is decided solely by real work.
-  void call_at_daemon(SimTime when, std::function<void()> fn);
+  void call_at_daemon(SimTime when, std::function<void()> fn) {
+    push_call(when, std::move(fn), Kind::kDaemon);
+  }
 
   /// Schedule a coroutine resumption (used by awaitables).
-  void resume_at(SimTime when, std::coroutine_handle<> handle);
+  void resume_at(SimTime when, std::coroutine_handle<> handle) {
+    push(when, Kind::kResume, {.frame = handle.address()});
+  }
+
+  /// Schedule a poll of `poller` (its handle must be set): at `when` the
+  /// engine calls poller.skip() and, until that returns kResume, re-arms
+  /// the poll instead of resuming the coroutine. Each elided poll counts
+  /// as one dispatch.
+  void poll_at(SimTime when, Poller& poller) { push(when, Kind::kPoll, {.poller = &poller}); }
 
   /// Run until the event queue drains, `stop()` is called, or simulated
   /// time would exceed `until`. Returns the time of the last dispatched
@@ -64,8 +101,11 @@ class Engine {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return heap_.empty(); }
   std::uint64_t dispatched() const { return dispatched_; }
+  /// Dispatches that were polls answered by Poller::skip() (a subset of
+  /// dispatched()).
+  std::uint64_t polls_elided() const { return polls_elided_; }
 
   /// Internal: processes register their root handles so frames suspended at
   /// teardown are destroyed (see process.hpp).
@@ -81,26 +121,41 @@ class Engine {
   void assert_owner() const { CAGVT_ASSERT(std::this_thread::get_id() == owner_); }
 
  private:
+  enum class Kind : std::uint8_t { kResume, kCall, kDaemon, kPoll };
+  /// Heap entries are small PODs: coroutine resumes carry the frame address
+  /// directly, plain callbacks live in the callbacks_ slab.
+  union Target {
+    void* frame;          // kResume: coroutine frame address
+    Poller* poller;       // kPoll
+    std::uint64_t slot;   // kCall, kDaemon: index into callbacks_
+  };
   struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::function<void()> fn;
-    bool daemon = false;
+    Target target;
+    Kind kind;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+
+  void push(SimTime when, Kind kind, Target target);
+  void push_call(SimTime when, std::function<void()> fn, Kind kind);
+  /// Re-arm the head entry at `when` with the next sequence number.
+  void replace_top(SimTime when);
+  void pop_top();
 
   std::thread::id owner_ = std::this_thread::get_id();
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t polls_elided_ = 0;
   std::uint64_t live_count_ = 0;  // queued non-daemon events
   bool stopped_ = false;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Entry> heap_;  // std::*_heap with later(): earliest (when, seq) first
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint64_t> free_slots_;
   std::vector<std::coroutine_handle<>> frames_;
   std::exception_ptr pending_exception_;
 };

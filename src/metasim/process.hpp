@@ -129,6 +129,39 @@ inline DelayAwaiter delay(SimTime amount) {
   return DelayAwaiter{amount};
 }
 
+/// co_await park(poller, amount): like delay(amount), but the wake-up is a
+/// poll — the engine resumes this thread only once poller.skip() stops
+/// answering for it (see Poller in engine.hpp). Idle polling loops park
+/// here so their no-op iterations cost a heap re-arm instead of a resume.
+struct ParkAwaiter {
+  Poller& poller;
+  SimTime amount;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(Process::Handle h) const {
+    Engine* engine = h.promise().engine;
+    poller.handle = h;
+    engine->poll_at(engine->now() + amount, poller);
+  }
+  void await_resume() const noexcept {}
+};
+
+inline ParkAwaiter park(Poller& poller, SimTime amount) {
+  CAGVT_ASSERT(amount >= 0);
+  return ParkAwaiter{poller, amount};
+}
+
+/// Poller whose skip() is a callable, for loops that keep their poller in
+/// their own coroutine frame.
+template <typename Skip>
+class FnPoller final : public Poller {
+ public:
+  explicit FnPoller(Skip skip) : skip_(std::move(skip)) {}
+  SimTime skip() override { return skip_(); }
+
+ private:
+  Skip skip_;
+};
+
 /// co_await yield(): reschedule at the current time, behind already-queued
 /// continuations.
 ///

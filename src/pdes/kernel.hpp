@@ -20,6 +20,7 @@
 //  * fossil_collect() frees history older than GVT and counts commits.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -110,8 +111,16 @@ class ThreadKernel {
   /// bound here; everything else about the kernel is unchanged.
   Outcome process_next_bounded(VirtualTime bound);
 
+  /// True when process_next_bounded(bound) would execute an event. Like
+  /// that call it may drop cancelled entries off the pending heap, and
+  /// nothing else.
+  bool has_runnable(VirtualTime bound) {
+    const auto k = pending_.min_key();
+    return k && k->ts <= std::min(bound, cfg_.end_vt);
+  }
+
   /// True when nothing below the end-time bound is pending.
-  bool idle() { return !pending_.min_key() || pending_.min_key()->ts > cfg_.end_vt; }
+  bool idle() { return !has_runnable(kVtInfinity); }
 
   /// This thread's GVT contribution: the lowest unprocessed timestamp it
   /// knows about (its pending set minimum). In-transit messages are the

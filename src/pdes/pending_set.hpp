@@ -125,8 +125,11 @@ class PendingSet {
     bool operator()(const Event& a, const Event& b) const { return key_of(a) > key_of(b); }
   };
 
-  /// Drop tombstoned entries off the top of the heap.
+  /// Drop tombstoned entries off the top of the heap. Every live uid has
+  /// an entry in the heap, so equal sizes mean there is no tombstone and
+  /// the hash lookups can be skipped.
   void skim() {
+    if (heap_.size() == live_.size()) return;
     while (!heap_.empty() && !live_.contains(heap_.top().uid)) heap_.pop();
   }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "fault/fault_parse.hpp"
 #include "models/phold.hpp"
 #include "pdes/seqref.hpp"
 
@@ -33,6 +36,7 @@ models::PholdParams default_phold() {
 struct RefResult {
   std::uint64_t committed;
   std::uint64_t fingerprint;
+  std::uint64_t state_hash;
 };
 
 RefResult sequential_reference(const SimulationConfig& cfg, const models::PholdParams& params) {
@@ -40,7 +44,7 @@ RefResult sequential_reference(const SimulationConfig& cfg, const models::PholdP
   models::PholdModel model(map, params);
   pdes::SequentialReference ref(model, map, {.end_vt = cfg.end_vt, .seed = cfg.seed});
   ref.run();
-  return {ref.committed(), ref.fingerprint()};
+  return {ref.committed(), ref.fingerprint(), ref.state_hash()};
 }
 
 SimulationResult run_cluster(const SimulationConfig& cfg, const models::PholdParams& params) {
@@ -194,6 +198,58 @@ TEST(SimulationTest, PaperScaleSmoke) {
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.events.committed, 10000u);
   EXPECT_GT(r.gvt_rounds, 0u);
+}
+
+// Idle-poll elision (DESIGN §8) must fire on an idle-heavy cluster and stay
+// exact. The engine counts every elided poll as a dispatch, so a run's
+// dispatch count, simulated duration and processed count must equal what
+// the poll-by-poll engine produced before elision existed (the pinned
+// values below); an inexact skip predicate would move them even where the
+// committed set still matches seqref.
+TEST(SimulationTest, IdlePollElisionFiresAndStaysExact) {
+  struct Case {
+    GvtKind gvt;
+    const char* faults;
+    std::uint64_t processed;
+    std::int64_t wall_ns;
+    std::uint64_t dispatched;
+  };
+  const char* straggler = "straggler:node=1,t=100us..2ms,slow=4x";
+  const Case cases[] = {
+      {GvtKind::kBarrier, "", 778, 1356830, 9631},
+      {GvtKind::kMattern, "", 709, 892110, 75024},
+      {GvtKind::kControlledAsync, "", 709, 1039930, 95280},
+      {GvtKind::kEpoch, "", 691, 693365, 45376},
+      {GvtKind::kBarrier, straggler, 778, 2671300, 9628},
+      {GvtKind::kMattern, straggler, 732, 2215880, 233634},
+      {GvtKind::kControlledAsync, straggler, 732, 2236580, 234579},
+      {GvtKind::kEpoch, straggler, 699, 2129910, 211496},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.gvt)) + " faults='" + c.faults + "'");
+    SimulationConfig cfg = small_config();
+    cfg.nodes = 8;
+    cfg.end_vt = 10.0;
+    cfg.gvt = c.gvt;
+    cfg.mpi = MpiPlacement::kDedicated;
+    cfg.faults = fault::parse_fault_schedule(c.faults);
+    models::PholdParams params;  // the paper's computation-dominated profile
+    params.regional_pct = 0.1;
+    params.remote_pct = 0.01;
+    params.epg_units = 10000;
+
+    const SimulationResult r = run_cluster(cfg, params);
+    const RefResult ref = sequential_reference(cfg, params);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.events.committed, ref.committed);
+    EXPECT_EQ(r.committed_fingerprint, ref.fingerprint);
+    EXPECT_EQ(r.state_hash, ref.state_hash);
+    EXPECT_GT(r.engine_polls_elided, 0u);
+    EXPECT_LT(r.engine_polls_elided, r.engine_dispatched);
+    EXPECT_EQ(r.events.processed, c.processed);
+    EXPECT_EQ(std::llround(r.wall_seconds * 1e9), c.wall_ns);
+    EXPECT_EQ(r.engine_dispatched, c.dispatched);
+  }
 }
 
 TEST(SimulationTest, InvalidConfigThrows) {

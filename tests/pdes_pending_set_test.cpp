@@ -135,5 +135,41 @@ TEST(PendingSetTest, ReinsertAfterCancelIsAllowed) {
   EXPECT_EQ(set.pop_next(kVtInfinity)->uid, 7u);
 }
 
+TEST(PendingSetTest, TombstoneBesideItsLiveTwinIsSkipped) {
+  // A cancelled uid pushed again (a regenerated event) leaves the tombstone
+  // and its live twin in the heap together. The heap then holds more
+  // entries than there are live uids, so skim's equal-size shortcut must
+  // not fire while the tombstone remains.
+  auto twins = [] {
+    PendingSet set;
+    set.push(make_event(1.0, 7, /*dst=*/0));
+    set.push(make_event(2.0, 8, /*dst=*/1));
+    set.cancel(7);
+    set.push(make_event(1.0, 7, /*dst=*/0));
+    return set;
+  };
+
+  PendingSet set = twins();
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.min_key()->uid, 7u);
+  EXPECT_EQ(set.pop_next(kVtInfinity)->uid, 7u);
+  // The twin's other entry is now a tombstone on top of the heap.
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.min_key()->uid, 8u);
+  EXPECT_EQ(set.pop_next(1.5), std::nullopt);
+  EXPECT_EQ(set.pop_next(kVtInfinity)->uid, 8u);
+  EXPECT_EQ(set.pop_next(kVtInfinity), std::nullopt);
+  EXPECT_TRUE(set.empty());
+
+  PendingSet moving = twins();
+  const auto moved = moving.extract_lp(0);
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].uid, 7u);
+  EXPECT_EQ(moving.size(), 1u);
+  EXPECT_EQ(moving.min_key()->uid, 8u);
+  EXPECT_EQ(moving.pop_next(kVtInfinity)->uid, 8u);
+  EXPECT_TRUE(moving.empty());
+}
+
 }  // namespace
 }  // namespace cagvt::pdes
