@@ -76,6 +76,9 @@ class Throttle {
 
   /// Stress seen between rounds.
   void stress() { clamp_.hold(gvt_, width_); }
+  /// True when stress() would change nothing (idle-poll elision mirror):
+  /// engaged, with the bound already at or above the last GVT + width.
+  bool stress_is_noop() const { return clamp_.engaged() && clamp_.bound() >= gvt_ + width_; }
 
   /// Round adoption at `gvt`, `stressed` saying how the round ended.
   void adopt(pdes::VirtualTime gvt, bool stressed) {

@@ -90,9 +90,7 @@ void Controller::on_control(int worker, const pdes::Event& event) {
 
 void Controller::request_up_to(int worker, VirtualTime x, std::vector<pdes::Event>& out) {
   for (int s = 0; s < workers_; ++s) {
-    if (s == worker) continue;
-    if (clocks_[idx(worker, s)] >= x) continue;
-    if (requested_[idx(worker, s)] >= x) continue;  // demand already registered
+    if (s == worker || !needs_request(worker, s, x)) continue;
     out.push_back(make_control(pdes::MsgKind::kNullRequest, worker, s, x));
     requested_[idx(worker, s)] = x;
     ++req_msgs_;
@@ -156,10 +154,28 @@ void Controller::tick(int worker, VirtualTime pending_min, int processed,
   // this batch executed nothing. Demand guarantees up to the blocked
   // timestamp — registering the full target up front lets the upstream
   // worker serve the whole climb from one request.
-  if (processed == 0 && pending_min <= end_vt_ && pending_min > min_clock_[worker])
-    want = std::max(want, pending_min);
+  if (processed == 0 && blocked(worker, pending_min)) want = std::max(want, pending_min);
 
   if (want > -kVtInfinity) request_up_to(worker, want, out);
+}
+
+bool Controller::idle_tick_is_noop(int worker, VirtualTime pending_min) const {
+  // Mirrors tick with processed == 0: no deferred demand met or advertised
+  // to, and no channel left to register the coalesced demand with.
+  if (cfg_.kind != SyncKind::kCmb) return true;
+  const VirtualTime G = std::min(pending_min, min_clock_[worker]) + la_;
+  VirtualTime want = -kVtInfinity;
+  for (int r = 0; r < workers_; ++r) {
+    const VirtualTime x = deferred_[idx(worker, r)];
+    if (x == -kVtInfinity) continue;
+    if (G >= x || G > advertised_[idx(worker, r)]) return false;
+    want = std::max(want, x - la_);
+  }
+  if (blocked(worker, pending_min)) want = std::max(want, pending_min);
+  if (want == -kVtInfinity) return true;
+  for (int s = 0; s < workers_; ++s)
+    if (s != worker && needs_request(worker, s, want)) return false;
+  return true;
 }
 
 void Controller::on_gvt(std::int64_t round, int worker, VirtualTime lvt, VirtualTime gvt) {

@@ -90,6 +90,14 @@ class Controller {
   void tick(int worker, pdes::VirtualTime pending_min, int processed,
             std::vector<pdes::Event>& out);
 
+  /// Idle-poll elision (DESIGN §8): would tick(worker, pending_min, 0, out)
+  /// emit nothing and change nothing but the step count? Always true for
+  /// window mode. Side-effect free; mirrors tick.
+  bool idle_tick_is_noop(int worker, pdes::VirtualTime pending_min) const;
+  /// The one effect of an idle tick the mirror allows: count the step, so
+  /// utilization() stays exact when the tick itself is elided.
+  void count_idle_tick() { ++ticks_total_; }
+
   /// Called when `worker` adopts a finished GVT round: advances the window
   /// bound and samples the time-horizon width from the per-worker LVTs.
   void on_gvt(std::int64_t round, int worker, pdes::VirtualTime lvt, pdes::VirtualTime gvt);
@@ -111,6 +119,14 @@ class Controller {
   /// Send kNullRequest(X) to every input channel of `worker` whose clock is
   /// below `x` and has no demand >= x already registered.
   void request_up_to(int worker, pdes::VirtualTime x, std::vector<pdes::Event>& out);
+  /// Would request_up_to(worker, x) send a request on the channel from `s`?
+  bool needs_request(int worker, int s, pdes::VirtualTime x) const {
+    return clocks_[idx(worker, s)] < x && requested_[idx(worker, s)] < x;
+  }
+  /// Idle with real work below the horizon but outside the safety bound.
+  bool blocked(int worker, pdes::VirtualTime pending_min) const {
+    return pending_min <= end_vt_ && pending_min > min_clock_[worker];
+  }
   void recompute_min_clock(int worker);
 
   ConsConfig cfg_;

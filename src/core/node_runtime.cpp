@@ -168,16 +168,7 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
       co_await drain_inboxes(worker, &did_work);
       int processed = 0;
       for (int b = 0; b < cfg_.batch; ++b) {
-        // Execution horizon: the tightest of the conservative window
-        // (--sync), the flow throttle clamp (--flow), and the adaptive GVT
-        // policy's throttle tier; infinity = free-running.
-        double bound = gvt_clamp_.bound();
-        if (cons_ != nullptr) bound = std::min(bound, cons_->bound(worker.global_worker));
-        if (flow_ != nullptr)
-          bound = std::min(bound, flow_->exec_bound(worker.global_worker));
-        pdes::Outcome out = bound == pdes::kVtInfinity
-                                ? worker.kernel.process_next()
-                                : worker.kernel.process_next_bounded(bound);
+        pdes::Outcome out = worker.kernel.process_next_bounded(exec_bound(worker));
         if (!out.processed) break;
         ++processed;
         did_work = true;
@@ -195,12 +186,17 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
   }
 }
 
+double NodeRuntime::exec_bound(const WorkerCtx& worker) const {
+  double bound = gvt_clamp_.bound();
+  if (cons_ != nullptr) bound = std::min(bound, cons_->bound(worker.global_worker));
+  if (flow_ != nullptr) bound = std::min(bound, flow_->exec_bound(worker.global_worker));
+  return bound;
+}
+
 SimTime NodeRuntime::skip_worker_iteration(WorkerCtx& worker) {
   constexpr SimTime kResume = metasim::Poller::kResume;
-  // The loop would exit or halt; cons and flow ticks update their
-  // controllers on every iteration.
-  if ((stop_ && gvt_->worker_done(worker)) || down() || cons_ != nullptr || flow_ != nullptr)
-    return kResume;
+  // The loop would exit or halt.
+  if ((stop_ && gvt_->worker_done(worker)) || down()) return kResume;
   if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
       worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0 &&
       !mpi_idle())
@@ -211,12 +207,21 @@ SimTime NodeRuntime::skip_worker_iteration(WorkerCtx& worker) {
   if (gvt_->worker_held(worker) || !worker.regional_in.items.empty() ||
       !worker.remote_in.items.empty())
     return kResume;
-  if (worker.kernel.has_runnable(gvt_clamp_.bound())) return kResume;
+  if (worker.kernel.has_runnable(exec_bound(worker))) return kResume;
+  // The controllers' ticks read the pool and the pending minimum after the
+  // kernel query, as cons_tick and flow_tick do after process_next.
+  const int gw = worker.global_worker;
+  if (cons_ != nullptr && !cons_->idle_tick_is_noop(gw, worker.kernel.local_min_ts()))
+    return kResume;
+  if (flow_ != nullptr &&
+      !flow_->tick_is_noop(gw, worker.kernel.pending_size(), worker.kernel.live_history()))
+    return kResume;
   if ((worker.mpi_duty && !gvt_->agent_tick_is_noop(&worker)) ||
       !gvt_->worker_tick_is_noop(worker))
     return kResume;
   ++worker.iterations;
   ++worker.gvt.iters_since_round;
+  if (cons_ != nullptr) cons_->count_idle_tick();
   return cpu(cfg_.cluster.idle_poll);
 }
 

@@ -321,12 +321,19 @@ class NodeRuntime {
 
   metasim::Process worker_main(WorkerCtx& worker);
   metasim::Process mpi_main();
+  /// Execution horizon of `worker`: the tightest of the adaptive GVT
+  /// policy's throttle tier, the conservative bound (--sync) and the flow
+  /// throttle clamp (--flow); infinity = free-running. worker_main and
+  /// skip_worker_iteration both ask it, so the loop and its mirror agree.
+  double exec_bound(const WorkerCtx& worker) const;
   /// Idle-poll elision (DESIGN §8), asked by the engine when a parked
   /// loop's poll falls due: if the loop's next iteration would change
-  /// nothing but the worker's iteration counters and end in another idle
-  /// poll, perform those increments and return that poll's delay;
-  /// otherwise return Poller::kResume. Each clause mirrors one step of
-  /// worker_main / mpi_main and answers "resume" where unsure.
+  /// nothing but the worker's iteration counters (and the conservative
+  /// controller's step count) and end in another idle poll, perform those
+  /// increments and return that poll's delay; otherwise return
+  /// Poller::kResume. Each clause mirrors one step of worker_main /
+  /// mpi_main (the cons and flow ticks through their controllers'
+  /// *_is_noop mirrors) and answers "resume" where unsure.
   metasim::SimTime skip_worker_iteration(WorkerCtx& worker);
   metasim::SimTime skip_mpi_iteration();
   /// True when mpi_progress would find nothing to do: no stall pulse and

@@ -30,14 +30,19 @@ std::int64_t Controller::budget(int worker) const {
   return budget;
 }
 
+core::FlowPressurePolicy Controller::policy_for(int worker) const {
+  core::FlowPressurePolicy policy = policy_;
+  policy.budget = static_cast<std::uint64_t>(budget(worker));
+  return policy;
+}
+
 core::PressureTier Controller::on_tick(int worker, std::size_t pending,
                                        std::size_t history) {
   const std::size_t w = static_cast<std::size_t>(worker);
   const std::uint64_t pool = pending + history;
   if (pool > peak_pool_) peak_pool_ = pool;
 
-  core::FlowPressurePolicy policy = policy_;
-  policy.budget = static_cast<std::uint64_t>(budget(worker));
+  const core::FlowPressurePolicy policy = policy_for(worker);
   const core::PressureTier tier = policy.classify(pool);
 
   if (tier != tier_[w]) {
@@ -67,6 +72,18 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
     quota_[w] = 0;
   }
   return tier;
+}
+
+bool Controller::tick_is_noop(int worker, std::size_t pending, std::size_t history) const {
+  // One clause per side effect of on_tick, then release's.
+  const std::size_t w = static_cast<std::size_t>(worker);
+  const std::uint64_t pool = pending + history;
+  if (pool > peak_pool_) return false;
+  const core::PressureTier tier = policy_for(worker).classify(pool);
+  if (tier != tier_[w] || tier == core::PressureTier::kRed || quota_[w] != 0) return false;
+  if (tier != core::PressureTier::kGreen && !throttles_[w].stress_is_noop()) return false;
+  return std::none_of(parked_[w].begin(), parked_[w].end(),
+                      [this](const Parked& p) { return releasable(p); });
 }
 
 void Controller::on_cancelback(int worker, const pdes::Event& event,
@@ -109,6 +126,14 @@ bool Controller::absorb_anti(int worker, const pdes::Event& anti) {
   return false;
 }
 
+bool Controller::releasable(const Parked& p) const {
+  const bool hold_expired = last_round_ - p.round >= kMaxHoldRounds;
+  const bool dest_calm =
+      p.dest_worker < 0 ||
+      tier_[static_cast<std::size_t>(p.dest_worker)] == core::PressureTier::kGreen;
+  return dest_calm || hold_expired;
+}
+
 void Controller::release(int worker, std::vector<pdes::Event>& out) {
   std::deque<Parked>& parked = parked_[static_cast<std::size_t>(worker)];
   if (parked.empty()) return;
@@ -117,11 +142,7 @@ void Controller::release(int worker, std::vector<pdes::Event>& out) {
   while (!parked.empty()) {
     Parked p = std::move(parked.front());
     parked.pop_front();
-    const bool hold_expired = last_round_ - p.round >= kMaxHoldRounds;
-    const bool dest_calm =
-        p.dest_worker < 0 ||
-        tier_[static_cast<std::size_t>(p.dest_worker)] == core::PressureTier::kGreen;
-    if (released < kReleaseBatch && (dest_calm || hold_expired)) {
+    if (released < kReleaseBatch && releasable(p)) {
       out.push_back(p.event);
       ++released;
     } else {

@@ -66,6 +66,14 @@ class Controller {
   /// quota, and request a forced GVT round on red. Returns the tier.
   core::PressureTier on_tick(int worker, std::size_t pending, std::size_t history);
 
+  /// Idle-poll elision (DESIGN §8): would on_tick(worker, pending, history)
+  /// followed by release(worker) change nothing and hand back nothing? True
+  /// when the pool sets no new peak, the tier stays the same below red with
+  /// no quota, a yellow tier's throttle is already engaged at or above its
+  /// stress bound, and no parked event is eligible for release.
+  /// Side-effect free; mirrors on_tick and release.
+  bool tick_is_noop(int worker, std::size_t pending, std::size_t history) const;
+
   /// Pending events `worker` should return to their senders now (computed
   /// by the last on_tick; zero below red pressure).
   std::size_t cancelback_quota(int worker) const {
@@ -167,6 +175,11 @@ class Controller {
 
   static constexpr std::int64_t kMaxHoldRounds = 2;
   static constexpr std::size_t kReleaseBatch = 64;
+
+  /// The pressure policy with `worker`'s effective budget.
+  core::FlowPressurePolicy policy_for(int worker) const;
+  /// May release() hand `p` back (destination calm or hold expired)?
+  bool releasable(const Parked& p) const;
 
   FlowConfig cfg_;
   int workers_;

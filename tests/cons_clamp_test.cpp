@@ -1,6 +1,7 @@
 // Unit coverage of the execution clamp (cons/clamp.hpp) and the throttle
 // hysteresis built on it: engagement counting, the never-retract rule, the
-// width taken as given, and release only after kCalmRounds calm rounds.
+// width taken as given, release only after kCalmRounds calm rounds, and the
+// side-effect-free stress mirror that idle-poll elision asks.
 #include <gtest/gtest.h>
 
 #include "cons/clamp.hpp"
@@ -61,6 +62,30 @@ TEST(ThrottleTest, StressEngagesAtTheLastAdoptedGvt) {
   EXPECT_EQ(throttle.bound(), 10.0);
   throttle.stress();  // already engaged: no second engagement
   EXPECT_EQ(throttle.engagements(), 1u);
+}
+
+TEST(ThrottleTest, StressIsNoopOnlyWhenEngagedAtOrAboveTheStressBound) {
+  Throttle throttle(4.0);
+  EXPECT_FALSE(throttle.stress_is_noop());  // released: stress would engage
+  throttle.adopt(6.0, /*stressed=*/false);
+  EXPECT_FALSE(throttle.stress_is_noop());
+  throttle.stress();
+  EXPECT_TRUE(throttle.stress_is_noop());  // engaged exactly at 6 + 4
+  throttle.stress();
+  EXPECT_EQ(throttle.bound(), 10.0);
+  EXPECT_EQ(throttle.engagements(), 1u);
+  // A restore's round may report a lower GVT: the bound stays above it.
+  throttle.adopt(3.0, /*stressed=*/true);
+  EXPECT_EQ(throttle.bound(), 10.0);
+  EXPECT_TRUE(throttle.stress_is_noop());
+  // A calm round slides the bound; stress at the new GVT then holds it.
+  throttle.adopt(9.0, /*stressed=*/false);
+  EXPECT_EQ(throttle.bound(), 13.0);
+  EXPECT_TRUE(throttle.stress_is_noop());
+  // Once released, stress would engage again.
+  throttle.adopt(9.5, /*stressed=*/false);
+  EXPECT_EQ(throttle.bound(), pdes::kVtInfinity);
+  EXPECT_FALSE(throttle.stress_is_noop());
 }
 
 TEST(ThrottleTest, ReleasesOnlyAfterCalmRoundsAndSlidesWhileCooling) {

@@ -3,14 +3,18 @@
 // (worker-step utilization, null-message overhead, time-horizon width).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cons/controller.hpp"
 #include "core/simulation.hpp"
 #include "models/phold.hpp"
 #include "pdes/event.hpp"
+#include "util/rng.hpp"
 
 namespace cagvt::cons {
 namespace {
@@ -203,6 +207,134 @@ TEST(ConsControllerTest, MutuallyBlockedWorkersClimbTheLadder) {
   EXPECT_GE(ctl.bound(0), p0) << "worker 0 never unblocked";
   EXPECT_GE(ctl.bound(1), p1) << "worker 1 never unblocked";
   EXPECT_LT(exchanges, 100) << "ladder failed to converge";
+}
+
+// ---------------------------------------------------------------------------
+// Idle-poll elision mirror (DESIGN §8): idle_tick_is_noop must answer true
+// exactly when an idle tick (processed == 0) emits nothing, and a
+// controller that replaces those ticks by count_idle_tick() must stay
+// indistinguishable from one that runs them: same control messages, same
+// bounds, same counters, the same utilization double.
+
+struct ConsObservables {
+  std::vector<double> bounds;
+  std::uint64_t null_msgs = 0;
+  std::uint64_t req_msgs = 0;
+  double utilization = 0;
+  double null_ratio = 0;
+  double horizon = 0;
+
+  bool operator==(const ConsObservables&) const = default;
+};
+
+ConsObservables observe(const Controller& c, int workers) {
+  ConsObservables o;
+  for (int w = 0; w < workers; ++w) o.bounds.push_back(c.bound(w));
+  o.null_msgs = c.null_msgs();
+  o.req_msgs = c.req_msgs();
+  o.utilization = c.utilization();
+  o.null_ratio = c.null_ratio();
+  o.horizon = c.avg_horizon_width();
+  return o;
+}
+
+struct WireMsg {
+  MsgKind kind;
+  double ts;
+  std::uint64_t uid;
+  pdes::LpId src, dst;
+
+  bool operator==(const WireMsg&) const = default;
+};
+
+std::vector<WireMsg> wire_of(const std::vector<Event>& events) {
+  std::vector<WireMsg> out;
+  for (const Event& e : events) out.push_back({e.kind, e.recv_ts, e.uid, e.src_lp, e.dst_lp});
+  return out;
+}
+
+/// Drives two controllers in lockstep through a seeded mix of busy and idle
+/// ticks, control deliveries (FIFO, as per-pair transport delivers them)
+/// and GVT rounds; returns {idle ticks the mirror elided, idle ticks it
+/// refused}.
+std::pair<int, int> run_idle_lockstep(SyncKind kind) {
+  constexpr int kWorkers = 4;
+  const pdes::LpMap map(2, 2, 1);
+  ConsConfig cfg;
+  cfg.kind = kind;
+  cfg.window = 0.75;
+  Controller full(cfg, map, /*lookahead=*/1.0, /*end_vt=*/40.0);
+  Controller elided(cfg, map, 1.0, 40.0);
+  Xoshiro256StarStar rng(kind == SyncKind::kCmb ? 7 : 8);
+  std::vector<double> pending_min(kWorkers, 0.5);
+  std::deque<Event> wire;
+  std::int64_t round = 0;
+  double gvt = 0;
+  int noops = 0, refusals = 0;
+
+  for (int step = 0; step < 20000; ++step) {
+    const int w = static_cast<int>(rng.next_below(kWorkers));
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 60) {
+      if (rng.next_below(5) == 0) {
+        pending_min[w] = rng.next_below(10) == 0
+                             ? pdes::kVtInfinity
+                             : full.bound(w) - 1.0 + static_cast<double>(rng.next_below(24)) / 4;
+      }
+      const bool runnable = pending_min[w] <= full.bound(w);
+      const int processed =
+          runnable && rng.next_below(2) == 0 ? 1 + static_cast<int>(rng.next_below(3)) : 0;
+      std::vector<Event> out, elided_out;
+      if (processed == 0) {
+        const bool noop = full.idle_tick_is_noop(w, pending_min[w]);
+        Controller probe = full;
+        std::vector<Event> probe_out;
+        probe.tick(w, pending_min[w], 0, probe_out);
+        EXPECT_EQ(noop, probe_out.empty()) << "step " << step;
+        (noop ? noops : refusals) += 1;
+        if (elided.idle_tick_is_noop(w, pending_min[w]))
+          elided.count_idle_tick();
+        else
+          elided.tick(w, pending_min[w], 0, elided_out);
+      } else {
+        elided.tick(w, pending_min[w], processed, elided_out);
+      }
+      full.tick(w, pending_min[w], processed, out);
+      EXPECT_EQ(wire_of(out), wire_of(elided_out)) << "step " << step;
+      if (processed > 0) pending_min[w] += static_cast<double>(rng.next_below(8)) / 4;
+      wire.insert(wire.end(), out.begin(), out.end());
+    } else if (op < 90) {
+      if (!wire.empty()) {
+        const Event e = wire.front();
+        wire.pop_front();
+        full.on_control(map.worker_of(e.dst_lp), e);
+        elided.on_control(map.worker_of(e.dst_lp), e);
+      }
+    } else {
+      ++round;
+      gvt += static_cast<double>(rng.next_below(4)) / 4;
+      for (int v = 0; v < kWorkers; ++v) {
+        const double lvt = std::max(gvt, pending_min[v]);
+        full.on_gvt(round, v, lvt, gvt);
+        elided.on_gvt(round, v, lvt, gvt);
+      }
+    }
+    EXPECT_EQ(observe(full, kWorkers), observe(elided, kWorkers)) << "step " << step;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return {noops, refusals};
+}
+
+TEST(ConsControllerTest, IdleTickIsNoopMirrorsTheCmbTick) {
+  const auto [noops, refusals] = run_idle_lockstep(SyncKind::kCmb);
+  EXPECT_GT(noops, 1000);
+  EXPECT_GT(refusals, 100);
+}
+
+TEST(ConsControllerTest, IdleTickIsNoopMirrorsTheWindowTick) {
+  const auto [noops, refusals] = run_idle_lockstep(SyncKind::kWindow);
+  EXPECT_GT(noops, 1000);
+  EXPECT_EQ(refusals, 0);  // a window tick only counts the step
 }
 
 // ---------------------------------------------------------------------------

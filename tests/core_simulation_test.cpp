@@ -7,7 +7,10 @@
 
 #include <cmath>
 
+#include "cons/cons_config.hpp"
 #include "fault/fault_parse.hpp"
+#include "flow/flow_config.hpp"
+#include "lb/lb_config.hpp"
 #include "models/phold.hpp"
 #include "pdes/seqref.hpp"
 
@@ -249,6 +252,82 @@ TEST(SimulationTest, IdlePollElisionFiresAndStaysExact) {
     EXPECT_EQ(r.events.processed, c.processed);
     EXPECT_EQ(std::llround(r.wall_seconds * 1e9), c.wall_ns);
     EXPECT_EQ(r.engine_dispatched, c.dispatched);
+  }
+}
+
+// The same exactness for workers under the flow and conservative
+// controllers, whose per-iteration ticks are elided through the
+// controllers' own no-op mirrors (flow::Controller::tick_is_noop,
+// cons::Controller::idle_tick_is_noop). Beyond the dispatch count, every
+// flow counter and the exact utilization double (whose denominator counts
+// the elided idle ticks) must equal the poll-by-poll engine's values.
+TEST(SimulationTest, ControllerIdlePollElisionStaysExact) {
+  struct Case {
+    const char* name;
+    GvtKind gvt;
+    const char* flow;
+    const char* sync;
+    const char* faults;
+    int ckpt_every;
+    const char* lb;
+    std::uint64_t processed;
+    std::int64_t wall_ns;
+    std::uint64_t dispatched;
+    std::uint64_t flow_counters[7];  // cancelbacks, releases, storms,
+                                     // engagements, forced, absorbed, peak
+    double cons_utilization;
+  };
+  const char* crash = "crash:node=1,t=300us,down=200us";
+  const Case cases[] = {
+      {"flow mattern", GvtKind::kMattern, "bounded,mem=24", "optimistic", "", 0, "off",
+       954, 1763185, 90842, {39, 38, 0, 13, 8, 1, 34}, 0},
+      {"flow epoch", GvtKind::kEpoch, "bounded,mem=24", "optimistic", "", 0, "off",
+       1016, 3501918, 136705, {29, 22, 2, 12, 7, 7, 32}, 0},
+      {"flow ca crash", GvtKind::kControlledAsync, "bounded,mem=24", "optimistic", crash, 4,
+       "off", 948, 4739981, 167511, {19, 11, 1, 23, 9, 1, 29}, 0},
+      {"flow ca lb", GvtKind::kControlledAsync, "bounded,mem=24", "optimistic", "", 0,
+       "roughness", 913, 2938833, 127931, {33, 31, 0, 17, 9, 2, 30}, 0},
+      {"cmb", GvtKind::kControlledAsync, "off", "cmb", "", 0, "off",
+       431, 16051600, 910037, {0, 0, 0, 0, 0, 0, 25}, 0.00035362369908007498},
+      {"window", GvtKind::kControlledAsync, "off", "window", "", 0, "off",
+       431, 6293275, 242909, {0, 0, 0, 0, 0, 0, 11}, 0.15025252525252525},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimulationConfig cfg = small_config();
+    cfg.nodes = 4;
+    cfg.gvt = c.gvt;
+    cfg.mpi = MpiPlacement::kDedicated;
+    cfg.flow = flow::parse_flow(c.flow);
+    cfg.sync = cons::parse_cons(c.sync);
+    cfg.faults = fault::parse_fault_schedule(c.faults);
+    cfg.ckpt_every = c.ckpt_every;
+    cfg.lb = lb::parse_lb(c.lb);
+    models::PholdParams params = default_phold();
+    if (cfg.sync.enabled()) params.min_delay = 0.5;
+
+    const SimulationResult r = run_cluster(cfg, params);
+    const RefResult ref = sequential_reference(cfg, params);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.events.committed, ref.committed);
+    EXPECT_EQ(r.committed_fingerprint, ref.fingerprint);
+    EXPECT_EQ(r.state_hash, ref.state_hash);
+    EXPECT_EQ(r.events.processed, c.processed);
+    EXPECT_EQ(std::llround(r.wall_seconds * 1e9), c.wall_ns);
+    EXPECT_EQ(r.engine_dispatched, c.dispatched);
+    const std::uint64_t flow_counters[7] = {
+        r.flow_cancelbacks, r.flow_releases,       r.flow_storms,    r.flow_throttle_engagements,
+        r.flow_forced_rounds, r.flow_absorbed_antis, r.peak_event_pool};
+    for (int k = 0; k < 7; ++k) EXPECT_EQ(flow_counters[k], c.flow_counters[k]) << "counter " << k;
+    EXPECT_EQ(r.cons_utilization, c.cons_utilization);
+    // Controller workers elide most of their polls. A held worker of a
+    // synchronous round always resumes (DESIGN §8), so the bound applies
+    // where most rounds ran asynchronously.
+    if ((cfg.flow.enabled() || cfg.sync.kind == cons::SyncKind::kCmb) &&
+        2 * r.sync_rounds < r.gvt_rounds) {
+      EXPECT_GT(2 * r.engine_polls_elided, r.engine_dispatched);
+    }
+    EXPECT_GT(r.engine_polls_elided, 0u);
   }
 }
 

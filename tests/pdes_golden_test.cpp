@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <deque>
+#include <string>
 
 #include "models/phold.hpp"
 #include "pdes/kernel.hpp"
@@ -193,10 +194,20 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{8, 1, 4, 4, 0.5, 0.0, 7},   // remote-only traffic
         GoldenCase{1, 8, 2, 6, 0.0, 0.9, 8}),  // tiny LPs, extreme lag
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      // Appended piecewise: a chain of temporary operator+ calls trips
+      // g++'s -Wrestrict at -O3.
       const auto& c = info.param;
-      return "n" + std::to_string(c.nodes) + "w" + std::to_string(c.workers) + "lp" +
-             std::to_string(c.lps) + "lag" + std::to_string(c.lag) + "s" +
-             std::to_string(c.seed);
+      std::string name = "n";
+      name += std::to_string(c.nodes);
+      name += "w";
+      name += std::to_string(c.workers);
+      name += "lp";
+      name += std::to_string(c.lps);
+      name += "lag";
+      name += std::to_string(c.lag);
+      name += "s";
+      name += std::to_string(c.seed);
+      return name;
     });
 
 TEST(GoldenTest, TestModelChainAcrossKernels) {
