@@ -200,9 +200,10 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
 
 bool EpochGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
   // Mirrors worker_tick: open the pipeline, join, deferred reads, adopt.
+  // The caller guarantees both inboxes are empty, so a held worker's
+  // deferred read is a no-op.
   if (phase_ == Phase::kIdle) return node_.stopped();
   if (worker.gvt.epoch < epoch_) return false;
-  if (worker_held(worker)) return false;
   return !(phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ && !worker.gvt.adopted);
 }
 

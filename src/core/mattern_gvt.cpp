@@ -236,12 +236,13 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
 bool MatternGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
   // One clause per block of worker_tick, in order. Joining (begin_round or
   // the colour flip) is the only step that changes phase_ here, so every
-  // later clause sees the phase the tick would see.
+  // later clause sees the phase the tick would see. The caller guarantees
+  // both inboxes are empty, so a held worker's deferred read is a no-op
+  // and the Collect/Broadcast clauses cover its real steps.
   if (phase_ == Phase::kIdle)
     return worker.gvt.iters_since_round + 1 < node_.cfg().gvt_interval &&
            !(node_.flow() != nullptr && node_.flow()->round_requested());
   if (worker.gvt.color != cur_color_) return phase_ != Phase::kRed;
-  if (worker_held(worker)) return false;
   if (phase_ == Phase::kCollect && !worker.gvt.contributed) return false;
   return !(phase_ == Phase::kBroadcast && !worker.gvt.adopted);
 }

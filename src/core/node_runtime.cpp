@@ -202,26 +202,34 @@ SimTime NodeRuntime::skip_worker_iteration(WorkerCtx& worker) {
       !mpi_idle())
     return kResume;
   if (cfg_.mpi == MpiPlacement::kEverywhere && !fabric_.inbox(node_id_).empty()) return kResume;
-  // Checked before the kernel, whose query may drop cancelled entries off
-  // the pending heap: it must run only where process_next would.
-  if (gvt_->worker_held(worker) || !worker.regional_in.items.empty() ||
-      !worker.remote_in.items.empty())
-    return kResume;
-  if (worker.kernel.has_runnable(exec_bound(worker))) return kResume;
-  // The controllers' ticks read the pool and the pending minimum after the
-  // kernel query, as cons_tick and flow_tick do after process_next.
+  // Non-empty inboxes are work: drain_inboxes reads them, or, while the
+  // worker is held, the GVT tick's deferred read does. With both empty the
+  // deferred read is a no-op, which the GVT mirrors below rely on.
+  if (!worker.regional_in.items.empty() || !worker.remote_in.items.empty()) return kResume;
+  // A held worker skips draining, processing and the controller ticks, so
+  // its mirror skips their queries too. Otherwise the kernel query comes
+  // first: it may drop cancelled entries off the pending heap, which must
+  // happen only where process_next would run.
+  const bool held = gvt_->worker_held(worker);
   const int gw = worker.global_worker;
-  if (cons_ != nullptr && !cons_->idle_tick_is_noop(gw, worker.kernel.local_min_ts()))
-    return kResume;
-  if (flow_ != nullptr &&
-      !flow_->tick_is_noop(gw, worker.kernel.pending_size(), worker.kernel.live_history()))
-    return kResume;
+  if (!held) {
+    if (worker.kernel.has_runnable(exec_bound(worker))) return kResume;
+    // The controllers' ticks read the pool and the pending minimum after
+    // the kernel query, as cons_tick and flow_tick do after process_next.
+    if (cons_ != nullptr && !cons_->idle_tick_is_noop(gw, worker.kernel.local_min_ts()))
+      return kResume;
+    if (flow_ != nullptr &&
+        !flow_->tick_is_noop(gw, worker.kernel.pending_size(), worker.kernel.live_history()))
+      return kResume;
+  }
   if ((worker.mpi_duty && !gvt_->agent_tick_is_noop(&worker)) ||
       !gvt_->worker_tick_is_noop(worker))
     return kResume;
   ++worker.iterations;
   ++worker.gvt.iters_since_round;
-  if (cons_ != nullptr) cons_->count_idle_tick();
+  // cons_tick counts a step only on iterations that reach it, and a held
+  // iteration does not.
+  if (cons_ != nullptr && !held) cons_->count_idle_tick();
   return cpu(cfg_.cluster.idle_poll);
 }
 

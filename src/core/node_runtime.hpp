@@ -328,12 +328,14 @@ class NodeRuntime {
   double exec_bound(const WorkerCtx& worker) const;
   /// Idle-poll elision (DESIGN §8), asked by the engine when a parked
   /// loop's poll falls due: if the loop's next iteration would change
-  /// nothing but the worker's iteration counters (and the conservative
-  /// controller's step count) and end in another idle poll, perform those
-  /// increments and return that poll's delay; otherwise return
-  /// Poller::kResume. Each clause mirrors one step of worker_main /
-  /// mpi_main (the cons and flow ticks through their controllers'
-  /// *_is_noop mirrors) and answers "resume" where unsure.
+  /// nothing but the worker's iteration counters (and, unless the worker
+  /// is held by a synchronous round, the conservative controller's step
+  /// count) and end in another idle poll, perform those increments and
+  /// return that poll's delay; otherwise return Poller::kResume. Each
+  /// clause mirrors one step of worker_main / mpi_main (the cons and flow
+  /// ticks through their controllers' *_is_noop mirrors) and answers
+  /// "resume" where unsure. A held worker elides too: with both inboxes
+  /// empty its iteration is the GVT ticks alone.
   metasim::SimTime skip_worker_iteration(WorkerCtx& worker);
   metasim::SimTime skip_mpi_iteration();
   /// True when mpi_progress would find nothing to do: no stall pulse and

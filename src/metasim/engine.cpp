@@ -16,7 +16,7 @@ Engine::~Engine() {
 void Engine::push(SimTime when, Kind kind, Target target) {
   assert_owner();
   CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
-  heap_.push_back(Entry{when, seq_++, target, kind});
+  heap_.push_back(Entry{{when, seq_++}, target, kind});
   std::push_heap(heap_.begin(), heap_.end(), later);
   if (kind != Kind::kDaemon) ++live_count_;
 }
@@ -34,28 +34,57 @@ void Engine::push_call(SimTime when, std::function<void()> fn, Kind kind) {
   push(when, kind, {.slot = slot});
 }
 
-void Engine::replace_top(SimTime when) {
-  // The std::*_heap layout (comparator later()), restored by a sift-down:
-  // a re-armed poll costs one log-n pass instead of a pop and a push.
-  Entry entry = heap_.front();
-  entry.when = when;
-  entry.seq = seq_++;
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && later(heap_[child], heap_[child + 1])) ++child;
-    if (!later(entry, heap_[child])) break;
-    heap_[i] = heap_[child];
-    i = child;
-  }
-  heap_[i] = entry;
+void Engine::poll_at(SimTime when, Poller& poller) {
+  assert_owner();
+  CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
+  park(when - now_, &poller);
+  ++live_count_;
 }
 
-void Engine::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  heap_.pop_back();
+void Engine::park(SimTime delay, Poller* poller) {
+  // A lane only ever receives now_ + delay with a fresh seq, and now_
+  // never decreases, so appending keeps it sorted by (when, seq).
+  Lane* lane = nullptr;
+  for (Lane& l : lanes_) {
+    if (l.delay == delay) {
+      lane = &l;
+      break;
+    }
+    if (lane == nullptr && l.polls.empty()) lane = &l;
+  }
+  if (lane == nullptr) lane = &lanes_.emplace_back();
+  lane->delay = delay;
+  lane->polls.emplace_back(Stamp{now_ + delay, seq_++}, poller);
+}
+
+bool Engine::empty() const {
+  return heap_.empty() &&
+         std::all_of(lanes_.begin(), lanes_.end(), [](const Lane& l) { return l.polls.empty(); });
+}
+
+Engine::Lane* Engine::earliest_lane() {
+  Lane* best = nullptr;
+  for (Lane& l : lanes_) {
+    if (!l.polls.empty() && (best == nullptr || best->polls.front().first > l.polls.front().first))
+      best = &l;
+  }
+  return best;
+}
+
+void Engine::dispatch_poll(Lane& lane) {
+  Poller* poller = lane.polls.front().second;
+  const SimTime next = poller->skip();
+  lane.polls.pop_front();
+  if (next != Poller::kResume) {
+    // An elided no-op iteration: re-arm at the (when, seq) its trailing
+    // co_await delay(next) would have taken.
+    CAGVT_ASSERT(next >= 0);
+    ++polls_elided_;
+    park(next, poller);
+    return;
+  }
+  --live_count_;
+  poller->handle.resume();
 }
 
 SimTime Engine::run(SimTime until) {
@@ -64,46 +93,30 @@ SimTime Engine::run(SimTime until) {
   // Stop as soon as only daemon events remain: they are instrumentation,
   // and dispatching them would advance the clock past the last real work.
   while (live_count_ > 0 && !stopped_) {
-    Entry& top = heap_.front();
-    if (top.when > until) break;
-    CAGVT_ASSERT(top.when >= now_);
-    now_ = top.when;
+    Lane* lane = earliest_lane();
+    const bool poll =
+        lane != nullptr && (heap_.empty() || heap_.front().at > lane->polls.front().first);
+    const SimTime when = poll ? lane->polls.front().first.when : heap_.front().at.when;
+    if (when > until) break;
+    CAGVT_ASSERT(when >= now_);
+    now_ = when;
     ++dispatched_;
-    switch (top.kind) {
-      case Kind::kPoll: {
-        Poller* poller = top.target.poller;
-        const SimTime next = poller->skip();
-        if (next != Poller::kResume) {
-          // An elided no-op iteration: re-arm in place at the (when, seq)
-          // its trailing co_await delay(next) would have taken.
-          CAGVT_ASSERT(next >= 0);
-          ++polls_elided_;
-          replace_top(now_ + next);
-          continue;
-        }
-        pop_top();
+    if (poll) {
+      dispatch_poll(*lane);
+    } else {
+      const Entry entry = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      heap_.pop_back();
+      if (entry.kind == Kind::kResume) {
         --live_count_;
-        poller->handle.resume();
-        break;
-      }
-      case Kind::kResume: {
-        const auto handle = std::coroutine_handle<>::from_address(top.target.frame);
-        pop_top();
-        --live_count_;
-        handle.resume();
-        break;
-      }
-      case Kind::kCall:
-      case Kind::kDaemon: {
-        // Move out before pop: the callback may schedule new entries,
-        // which can reuse its slot and reallocate the heap.
-        const std::uint64_t slot = top.target.slot;
-        if (top.kind == Kind::kCall) --live_count_;
-        std::function<void()> fn = std::move(callbacks_[slot]);
-        free_slots_.push_back(slot);
-        pop_top();
+        std::coroutine_handle<>::from_address(entry.target.frame).resume();
+      } else {
+        // Move out before running: the callback may schedule new entries,
+        // which can reuse its slot.
+        if (entry.kind == Kind::kCall) --live_count_;
+        std::function<void()> fn = std::move(callbacks_[entry.target.slot]);
+        free_slots_.push_back(entry.target.slot);
         fn();
-        break;
       }
     }
     if (pending_exception_) {

@@ -6,6 +6,15 @@
 // callbacks (e.g. network message delivery), or polls of a parked idle
 // loop (see Poller below).
 //
+// Resumptions and callbacks wait in a binary heap. Polls never enter it:
+// each is pushed at now + d with a fresh sequence number, and now never
+// decreases, so the polls that share one delay d arrive already sorted by
+// (time, sequence). They wait in one FIFO lane per distinct delay (in
+// practice the idle and MPI poll periods, plus their straggler-scaled
+// values), and run() dispatches the earliest of the heap top and the lane
+// heads. A re-armed poll is a pop_front and a push_back instead of a
+// log-n heap sift.
+//
 // Concurrency contract: an Engine and everything scheduled on it belong to
 // exactly ONE OS thread — the one that constructed it. "Parallelism" on
 // this substrate is cooperative: simulated threads interleave at co_await
@@ -21,9 +30,11 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "metasim/time.hpp"
@@ -90,7 +101,7 @@ class Engine {
   /// engine calls poller.skip() and, until that returns kResume, re-arms
   /// the poll instead of resuming the coroutine. Each elided poll counts
   /// as one dispatch.
-  void poll_at(SimTime when, Poller& poller) { push(when, Kind::kPoll, {.poller = &poller}); }
+  void poll_at(SimTime when, Poller& poller);
 
   /// Run until the event queue drains, `stop()` is called, or simulated
   /// time would exceed `until`. Returns the time of the last dispatched
@@ -101,7 +112,7 @@ class Engine {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const;
   std::uint64_t dispatched() const { return dispatched_; }
   /// Dispatches that were polls answered by Poller::skip() (a subset of
   /// dispatched()).
@@ -121,39 +132,50 @@ class Engine {
   void assert_owner() const { CAGVT_ASSERT(std::this_thread::get_id() == owner_); }
 
  private:
-  enum class Kind : std::uint8_t { kResume, kCall, kDaemon, kPoll };
+  /// Dispatch position: earliest `when` first, FIFO by `seq` at equal times.
+  struct Stamp {
+    SimTime when;
+    std::uint64_t seq;
+    bool operator>(const Stamp& o) const { return when != o.when ? when > o.when : seq > o.seq; }
+  };
+  enum class Kind : std::uint8_t { kResume, kCall, kDaemon };
   /// Heap entries are small PODs: coroutine resumes carry the frame address
   /// directly, plain callbacks live in the callbacks_ slab.
   union Target {
     void* frame;          // kResume: coroutine frame address
-    Poller* poller;       // kPoll
     std::uint64_t slot;   // kCall, kDaemon: index into callbacks_
   };
   struct Entry {
-    SimTime when;
-    std::uint64_t seq;
+    Stamp at;
     Target target;
     Kind kind;
   };
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
+  static bool later(const Entry& a, const Entry& b) { return a.at > b.at; }
+  /// Parked polls pushed with one delay, in (when, seq) order.
+  struct Lane {
+    SimTime delay;
+    std::deque<std::pair<Stamp, Poller*>> polls;
+  };
 
   void push(SimTime when, Kind kind, Target target);
   void push_call(SimTime when, std::function<void()> fn, Kind kind);
-  /// Re-arm the head entry at `when` with the next sequence number.
-  void replace_top(SimTime when);
-  void pop_top();
+  /// Append a poll at now_ + delay, with the next sequence number, to the
+  /// lane of that delay (an empty lane is re-keyed, else one is added).
+  void park(SimTime delay, Poller* poller);
+  /// The lane whose head is the earliest parked poll, or nullptr.
+  Lane* earliest_lane();
+  /// Ask the head poll of `lane` to skip; re-arm it or resume its thread.
+  void dispatch_poll(Lane& lane);
 
   std::thread::id owner_ = std::this_thread::get_id();
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t polls_elided_ = 0;
-  std::uint64_t live_count_ = 0;  // queued non-daemon events
+  std::uint64_t live_count_ = 0;  // queued non-daemon events and parked polls
   bool stopped_ = false;
   std::vector<Entry> heap_;  // std::*_heap with later(): earliest (when, seq) first
+  std::vector<Lane> lanes_;
   std::vector<std::function<void()>> callbacks_;
   std::vector<std::uint64_t> free_slots_;
   std::vector<std::coroutine_handle<>> frames_;

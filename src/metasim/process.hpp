@@ -132,7 +132,7 @@ inline DelayAwaiter delay(SimTime amount) {
 /// co_await park(poller, amount): like delay(amount), but the wake-up is a
 /// poll — the engine resumes this thread only once poller.skip() stops
 /// answering for it (see Poller in engine.hpp). Idle polling loops park
-/// here so their no-op iterations cost a heap re-arm instead of a resume.
+/// here so their no-op iterations cost a lane re-arm instead of a resume.
 struct ParkAwaiter {
   Poller& poller;
   SimTime amount;

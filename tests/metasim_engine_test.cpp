@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <queue>
 #include <tuple>
 #include <vector>
@@ -194,6 +195,129 @@ TEST(EngineTest, RandomMixDispatchesInWhenSeqOrder) {
   for (; !m.model.empty(); m.model.pop(), ++left) EXPECT_TRUE(m.model.top().daemon);
   EXPECT_GT(left, 0u);
   EXPECT_FALSE(m.engine.empty());
+}
+
+// --- poll lanes against the same model ---------------------------------------
+
+/// A parked loop in the OrderModel mix. Its poller re-arms three times in
+/// four (each re-arm is one model entry, taken with the next seq exactly
+/// as the engine takes it) and otherwise wakes the loop, which parks again
+/// or ends. Poll delays come from a few fixed values, 0 included, and the
+/// "slow" loops stretch theirs by 3x from t = 40 on, the way a straggler
+/// factor rescales the idle-poll period mid-run.
+struct PollLoop final : Poller {
+  OrderModel& m;
+  SimTime base;
+  bool slow;
+  int polls_left;
+  std::uint64_t seq = 0;  // model entry of the parked poll
+
+  PollLoop(OrderModel& model, SimTime d, bool s, int polls)
+      : m(model), base(d), slow(s), polls_left(polls) {}
+
+  SimTime period() const { return slow && m.engine.now() >= 40 ? 3 * base : base; }
+
+  /// Park at now + period(); returns the delay used.
+  SimTime arm() {
+    const SimTime d = period();
+    seq = m.expect(m.engine.now() + d, /*daemon=*/false);
+    return d;
+  }
+
+  SimTime skip() override {
+    // The model check without spawn_children: skip() schedules nothing.
+    EXPECT_FALSE(m.model.empty());
+    EXPECT_EQ(m.model.top().seq, seq);
+    EXPECT_EQ(m.model.top().when, m.engine.now());
+    m.model.pop();
+    ++m.checked;
+    if (--polls_left <= 0 || m.rng() % 4 == 0) return kResume;
+    return arm();
+  }
+};
+
+Process parked_loop(PollLoop& p, int wakes) {
+  for (int i = 0; i < wakes && p.polls_left > 0; ++i) {
+    co_await park(p, p.arm());
+    p.m.spawn_children();  // a woken loop does work: it schedules more
+  }
+}
+
+TEST(EngineTest, PollLanesDispatchInWhenSeqOrder) {
+  OrderModel m;
+  m.budget = 3000;
+  m.schedule_call(seconds(1), /*daemon=*/true);  // outlives all real work
+  // Two or three distinct delays at any time (0, 2 and 3, then 0, 3 and 6).
+  std::vector<std::unique_ptr<PollLoop>> loops;
+  const SimTime bases[] = {0, 2, 3, 2, 3, 2};
+  for (int i = 0; i < 6; ++i) {
+    loops.push_back(std::make_unique<PollLoop>(m, bases[i], /*slow=*/bases[i] == 2, 400));
+    const SimTime start = m.draw_delay();
+    const std::uint64_t first = m.expect(start, /*daemon=*/false);
+    spawn(m.engine, [](PollLoop& p, std::uint64_t seq) -> Process {
+      p.m.dispatched(seq);
+      co_await parked_loop(p, 60);
+    }(*loops.back(), first), start);
+  }
+  for (int i = 0; i < 40; ++i) {
+    switch (m.rng() % 3) {
+      case 0:
+        m.schedule_call(m.draw_delay(), /*daemon=*/false);
+        break;
+      case 1:
+        m.schedule_call(m.draw_delay(), /*daemon=*/true);
+        break;
+      default: {
+        const SimTime start = m.draw_delay();
+        const std::uint64_t seq = m.expect(start, /*daemon=*/false);
+        spawn(m.engine, [](OrderModel& mm, std::uint64_t first, int hops) -> Process {
+          mm.dispatched(first);
+          co_await ticker(mm, hops);
+        }(m, seq, 1 + static_cast<int>(m.rng() % 20)), start);
+        break;
+      }
+    }
+  }
+  m.engine.run();
+  EXPECT_GT(m.engine.polls_elided(), 1000u);
+  EXPECT_GT(m.engine.dispatched() - m.engine.polls_elided(), 1000u);
+  EXPECT_EQ(m.engine.dispatched(), m.checked);
+  std::size_t left = 0;
+  for (; !m.model.empty(); m.model.pop(), ++left) EXPECT_TRUE(m.model.top().daemon);
+  EXPECT_GT(left, 0u);
+  EXPECT_FALSE(m.engine.empty());
+  EXPECT_GT(m.engine.now(), 40);  // the slow loops' delay did change
+  EXPECT_LT(m.engine.now(), seconds(1));
+}
+
+TEST(EngineTest, ParkedPollsAloneHonourRunUntilAndEmpty) {
+  Engine engine;
+  int polls = 0;
+  bool woke = false;
+  FnPoller poller([&]() -> SimTime { return ++polls < 10 ? 5 : Poller::kResume; });
+  engine.call_at_daemon(7, [] {});
+  spawn(engine, [](Poller& p, bool& w) -> Process {
+    co_await park(p, 5);
+    w = true;
+  }(poller, woke));
+  engine.run(12);  // the spawn at 0, polls at 5 and 10, the daemon at 7
+  EXPECT_EQ(engine.now(), 10);
+  EXPECT_EQ(polls, 2);
+  EXPECT_EQ(engine.dispatched(), 4u);
+  EXPECT_FALSE(engine.empty());  // the heap is empty, one poll is parked
+  engine.run(14);                // the parked poll at 15 waits
+  EXPECT_EQ(engine.now(), 10);
+  EXPECT_FALSE(engine.empty());
+  engine.call_at_daemon(1000, [] {});
+  engine.run();  // eight more polls, the last wakes the loop; the daemon stays
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(polls, 10);
+  EXPECT_EQ(engine.now(), 50);
+  EXPECT_EQ(engine.polls_elided(), 9u);
+  EXPECT_FALSE(engine.empty());
+  engine.call_at(60, [] {});
+  engine.run();  // the daemon at 1000 still does not run
+  EXPECT_EQ(engine.now(), 60);
 }
 
 // --- exact idle-poll elision ---------------------------------------------
