@@ -8,8 +8,9 @@ diffs against, so each advertised figure must have its baseline checked in
 at the repository root. This guard scans bench/*.cpp for advertised figure
 names and errors on any missing (or unparseable) BENCH_<figure>.json.
 
-With --rerun it is also a drift gate: it runs the named bench binaries from
-BUILD_DIR/bench with CAGVT_BENCH_JSON_DIR pointing at a temporary directory
+With --rerun it is also a drift gate: it runs every advertised figure's bench
+binary (or only those --only names) from BUILD_DIR/bench with
+CAGVT_BENCH_JSON_DIR pointing at a temporary directory
 and, for every row the rerun produces, requires exact equality on every
 counter the committed baseline has for that row. Host timings and
 google-benchmark's bookkeeping keys are ignored. Counters the baseline lacks
@@ -18,6 +19,7 @@ deterministic, so any difference is a behaviour change.
 
 Usage:
     python3 scripts/check_bench_baselines.py [repo_root]
+    python3 scripts/check_bench_baselines.py [repo_root] --rerun BUILD_DIR
     python3 scripts/check_bench_baselines.py [repo_root] --rerun BUILD_DIR \
         --only tab02,abl09,abl10,abl11
 
@@ -115,10 +117,11 @@ def main():
                         help="rerun bench binaries from BUILD_DIR/bench and "
                              "require their counters to equal the baselines")
     parser.add_argument("--only", metavar="FIGURES",
-                        help="comma-separated figures to rerun (with --rerun)")
+                        help="comma-separated figures to rerun (with --rerun; "
+                             "default: every advertised figure)")
     args = parser.parse_args()
-    if bool(args.rerun) != bool(args.only):
-        parser.error("--rerun and --only go together")
+    if args.only and not args.rerun:
+        parser.error("--only needs --rerun")
     root = args.root
     figures = advertised_figures(os.path.join(root, "bench"))
     if not figures:
@@ -143,7 +146,8 @@ def main():
             failures.append(f"BENCH_{figure}.json is not valid JSON: {e}")
 
     if not failures and args.rerun:
-        only = [f for f in args.only.split(",") if f]
+        only = ([f for f in args.only.split(",") if f] if args.only
+                else sorted(figures))
         failures += rerun_failures(root, args.rerun, figures, only)
 
     if failures:

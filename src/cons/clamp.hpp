@@ -76,8 +76,8 @@ class Throttle {
 
   /// Stress seen between rounds.
   void stress() { clamp_.hold(gvt_, width_); }
-  /// True when stress() would change nothing (idle-poll elision mirror):
-  /// engaged, with the bound already at or above the last GVT + width.
+  /// True when stress() would change nothing: engaged, with the bound
+  /// already at or above the last GVT + width.
   bool stress_is_noop() const { return clamp_.engaged() && clamp_.bound() >= gvt_ + width_; }
 
   /// Round adoption at `gvt`, `stressed` saying how the round ended.

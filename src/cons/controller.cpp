@@ -88,15 +88,6 @@ void Controller::on_control(int worker, const pdes::Event& event) {
   x = std::max(x, event.recv_ts);
 }
 
-void Controller::request_up_to(int worker, VirtualTime x, std::vector<pdes::Event>& out) {
-  for (int s = 0; s < workers_; ++s) {
-    if (s == worker || !needs_request(worker, s, x)) continue;
-    out.push_back(make_control(pdes::MsgKind::kNullRequest, worker, s, x));
-    requested_[idx(worker, s)] = x;
-    ++req_msgs_;
-  }
-}
-
 void Controller::tick(int worker, VirtualTime pending_min, int processed,
                       std::vector<pdes::Event>& out) {
   ++ticks_total_;
@@ -104,78 +95,18 @@ void Controller::tick(int worker, VirtualTime pending_min, int processed,
     ++ticks_active_;
     events_processed_ += static_cast<std::uint64_t>(processed);
   }
-  if (cfg_.kind != SyncKind::kCmb) return;
-
-  // The guarantee this worker can give right now: it will never send an
-  // event with recv_ts <= G. Its future sends stem from events it has yet
-  // to execute, all of which sit at or above L (pending set) or strictly
-  // above L (future arrivals, by the input-clock guarantees), and every
-  // send adds strictly more than the lookahead.
-  const VirtualTime L = std::min(pending_min, min_clock_[worker]);
-  const VirtualTime G = L + la_;
-
-  // The demand this tick wants registered upstream: the max over every
-  // unsatisfiable deferred demand (reduced by one lookahead hop) and the
-  // worker's own blocked timestamp. Coalesced so each channel sees at most
-  // one request per tick, carrying the dominating demand.
-  VirtualTime want = -kVtInfinity;
-
-  for (int r = 0; r < workers_; ++r) {
-    VirtualTime& x = deferred_[idx(worker, r)];
-    if (x == -kVtInfinity) continue;
-    if (G >= x) {
-      out.push_back(make_control(pdes::MsgKind::kNull, worker, r, G));
-      ++null_msgs_;
-      advertised_[idx(worker, r)] = G;
-      x = -kVtInfinity;
-      continue;
+  plan(worker, pending_min, processed, [&](pdes::MsgKind kind, int to, VirtualTime ts) {
+    out.push_back(make_control(kind, worker, to, ts));
+    const int channel = idx(worker, to);
+    if (kind == pdes::MsgKind::kNullRequest) {
+      requested_[channel] = ts;
+      ++req_msgs_;
+      return;
     }
-    // Cannot satisfy the demand in full yet. If this worker is itself idle,
-    // advertise whatever guarantee it DOES have (when it grew since the
-    // last advertisement): two mutually-blocked workers then ratchet each
-    // other's clocks up by one lookahead per exchange — the classic CMB
-    // ladder — instead of deadlocking on suppressed requests. Busy workers
-    // skip the partial (their guarantee rises every batch; flooding the
-    // requester with increments it cannot act on is exactly the null storm
-    // suppression exists to avoid). L is monotone (arrivals land strictly
-    // above the min input clock), so a grown G never retracts an earlier
-    // guarantee.
-    if (processed == 0 && G > advertised_[idx(worker, r)]) {
-      out.push_back(make_control(pdes::MsgKind::kNull, worker, r, G));
-      ++null_msgs_;
-      advertised_[idx(worker, r)] = G;
-    }
-    // And propagate the demand upstream, reduced by one lookahead hop, to
-    // whichever input clocks cap our own guarantee.
-    want = std::max(want, x - la_);
-  }
-
-  // Blocked: real work below the horizon but outside the safety bound, and
-  // this batch executed nothing. Demand guarantees up to the blocked
-  // timestamp — registering the full target up front lets the upstream
-  // worker serve the whole climb from one request.
-  if (processed == 0 && blocked(worker, pending_min)) want = std::max(want, pending_min);
-
-  if (want > -kVtInfinity) request_up_to(worker, want, out);
-}
-
-bool Controller::idle_tick_is_noop(int worker, VirtualTime pending_min) const {
-  // Mirrors tick with processed == 0: no deferred demand met or advertised
-  // to, and no channel left to register the coalesced demand with.
-  if (cfg_.kind != SyncKind::kCmb) return true;
-  const VirtualTime G = std::min(pending_min, min_clock_[worker]) + la_;
-  VirtualTime want = -kVtInfinity;
-  for (int r = 0; r < workers_; ++r) {
-    const VirtualTime x = deferred_[idx(worker, r)];
-    if (x == -kVtInfinity) continue;
-    if (G >= x || G > advertised_[idx(worker, r)]) return false;
-    want = std::max(want, x - la_);
-  }
-  if (blocked(worker, pending_min)) want = std::max(want, pending_min);
-  if (want == -kVtInfinity) return true;
-  for (int s = 0; s < workers_; ++s)
-    if (s != worker && needs_request(worker, s, want)) return false;
-  return true;
+    ++null_msgs_;
+    advertised_[channel] = ts;
+    if (ts >= deferred_[channel]) deferred_[channel] = -kVtInfinity;  // demand met
+  });
 }
 
 void Controller::on_gvt(std::int64_t round, int worker, VirtualTime lvt, VirtualTime gvt) {

@@ -54,6 +54,7 @@
 // --sync at construction (exec/thread_engine.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -91,10 +92,13 @@ class Controller {
             std::vector<pdes::Event>& out);
 
   /// Idle-poll elision (DESIGN §8): would tick(worker, pending_min, 0, out)
-  /// emit nothing and change nothing but the step count? Always true for
-  /// window mode. Side-effect free; mirrors tick.
-  bool idle_tick_is_noop(int worker, pdes::VirtualTime pending_min) const;
-  /// The one effect of an idle tick the mirror allows: count the step, so
+  /// change nothing but the step count, i.e. plan() emit nothing?
+  bool idle_tick_is_noop(int worker, pdes::VirtualTime pending_min) const {
+    bool emits = false;
+    plan(worker, pending_min, 0, [&](pdes::MsgKind, int, pdes::VirtualTime) { emits = true; });
+    return !emits;
+  }
+  /// The one effect of an idle tick the query allows: count the step, so
   /// utilization() stays exact when the tick itself is elided.
   void count_idle_tick() { ++ticks_total_; }
 
@@ -116,17 +120,12 @@ class Controller {
   int idx(int worker, int other) const { return worker * workers_ + other; }
   pdes::Event make_control(pdes::MsgKind kind, int from_worker, int to_worker,
                            pdes::VirtualTime ts);
-  /// Send kNullRequest(X) to every input channel of `worker` whose clock is
-  /// below `x` and has no demand >= x already registered.
-  void request_up_to(int worker, pdes::VirtualTime x, std::vector<pdes::Event>& out);
-  /// Would request_up_to(worker, x) send a request on the channel from `s`?
-  bool needs_request(int worker, int s, pdes::VirtualTime x) const {
-    return clocks_[idx(worker, s)] < x && requested_[idx(worker, s)] < x;
-  }
-  /// Idle with real work below the horizon but outside the safety bound.
-  bool blocked(int worker, pdes::VirtualTime pending_min) const {
-    return pending_min <= end_vt_ && pending_min > min_clock_[worker];
-  }
+  /// The CMB decision of tick(): emit(kind, to_worker, ts) for each control
+  /// message, in send order. tick applies each as it is emitted (that
+  /// writes only the message's own channel, which plan has read for the
+  /// last time by then); idle_tick_is_noop asks whether any is emitted.
+  template <class Emit>
+  void plan(int worker, pdes::VirtualTime pending_min, int processed, Emit&& emit) const;
   void recompute_min_clock(int worker);
 
   ConsConfig cfg_;
@@ -159,5 +158,62 @@ class Controller {
   double horizon_width_sum_ = 0;
   std::uint64_t horizon_rounds_ = 0;
 };
+
+template <class Emit>
+void Controller::plan(int worker, pdes::VirtualTime pending_min, int processed,
+                      Emit&& emit) const {
+  if (cfg_.kind != SyncKind::kCmb) return;
+
+  // The guarantee this worker can give right now: it will never send an
+  // event with recv_ts <= G. Its future sends stem from events it has yet
+  // to execute, all of which sit at or above L (pending set) or strictly
+  // above L (future arrivals, by the input-clock guarantees), and every
+  // send adds strictly more than the lookahead.
+  const pdes::VirtualTime L = std::min(pending_min, min_clock_[worker]);
+  const pdes::VirtualTime G = L + la_;
+
+  // The demand this tick wants registered upstream: the max over every
+  // unsatisfiable deferred demand (reduced by one lookahead hop) and the
+  // worker's own blocked timestamp. Coalesced so each channel sees at most
+  // one request per tick, carrying the dominating demand.
+  pdes::VirtualTime want = -pdes::kVtInfinity;
+
+  for (int r = 0; r < workers_; ++r) {
+    const pdes::VirtualTime x = deferred_[idx(worker, r)];
+    if (x == -pdes::kVtInfinity) continue;
+    if (G >= x) {  // the null meets the registered demand
+      emit(pdes::MsgKind::kNull, r, G);
+      continue;
+    }
+    // Cannot satisfy the demand in full yet. If this worker is itself idle,
+    // advertise whatever guarantee it DOES have (when it grew since the
+    // last advertisement): two mutually-blocked workers then ratchet each
+    // other's clocks up by one lookahead per exchange — the classic CMB
+    // ladder — instead of deadlocking on suppressed requests. Busy workers
+    // skip the partial (their guarantee rises every batch; flooding the
+    // requester with increments it cannot act on is exactly the null storm
+    // suppression exists to avoid). L is monotone (arrivals land strictly
+    // above the min input clock), so a grown G never retracts an earlier
+    // guarantee.
+    if (processed == 0 && G > advertised_[idx(worker, r)]) emit(pdes::MsgKind::kNull, r, G);
+    // And propagate the demand upstream, reduced by one lookahead hop, to
+    // whichever input clocks cap our own guarantee.
+    want = std::max(want, x - la_);
+  }
+
+  // Blocked: real work below the horizon but outside the safety bound, and
+  // this batch executed nothing. Demand guarantees up to the blocked
+  // timestamp — registering the full target up front lets the upstream
+  // worker serve the whole climb from one request.
+  if (processed == 0 && pending_min <= end_vt_ && pending_min > min_clock_[worker])
+    want = std::max(want, pending_min);
+  if (want == -pdes::kVtInfinity) return;
+
+  // Request on every input channel whose clock is below the demand and has
+  // no demand >= it already registered.
+  for (int s = 0; s < workers_; ++s)
+    if (s != worker && clocks_[idx(worker, s)] < want && requested_[idx(worker, s)] < want)
+      emit(pdes::MsgKind::kNullRequest, s, want);
+}
 
 }  // namespace cagvt::cons

@@ -6,9 +6,7 @@ using metasim::delay;
 using metasim::Process;
 
 Process BarrierGvt::worker_tick(WorkerCtx& worker) {
-  // Red memory pressure forces an early round (see MatternGvt::worker_tick).
-  const bool flow_forced = node_.flow() != nullptr && node_.flow()->round_requested();
-  if (worker.gvt.iters_since_round < node_.cfg().gvt_interval && !flow_forced) co_return;
+  if (!node_.round_due(worker.gvt.iters_since_round)) co_return;
   worker.gvt.iters_since_round = 0;
 
   // In combined/everywhere placements worker 0 doubles as the MPI agent
@@ -131,10 +129,8 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
 }
 
 Process BarrierGvt::agent_tick(WorkerCtx* self) {
-  // Only the dedicated MPI thread runs the agent side from here; in
-  // combined/everywhere placements worker 0 handles it inline above.
   (void)self;
-  if (!node_.cfg().has_dedicated_mpi() || !round_active_) co_return;
+  if (!agent_joins()) co_return;
 
   auto& collectives = node_.collectives();
   node_.trace().barrier_enter(node_.rank(), -1, round_no_ + 1, "transit-count");

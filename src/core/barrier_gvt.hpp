@@ -39,14 +39,12 @@ class BarrierGvt final : public GvtAlgorithm {
   metasim::Process agent_tick(WorkerCtx* self) override;
   bool agent_done() const override { return !round_active_; }
 
-  // Mirror the early returns at the top of worker_tick and agent_tick.
   bool worker_tick_is_noop(const WorkerCtx& worker) const override {
-    const bool flow_forced = node_.flow() != nullptr && node_.flow()->round_requested();
-    return worker.gvt.iters_since_round + 1 < node_.cfg().gvt_interval && !flow_forced;
+    return !node_.round_due(worker.gvt.iters_since_round + 1);
   }
   bool agent_tick_is_noop(const WorkerCtx* self) const override {
     (void)self;
-    return !node_.cfg().has_dedicated_mpi() || !round_active_;
+    return !agent_joins();
   }
 
   void on_token(const MatternToken& token) override {
@@ -67,6 +65,10 @@ class BarrierGvt final : public GvtAlgorithm {
   /// execute it after fossil collection (and any checkpoint) and fence it
   /// from the round's flush with an extra global barrier.
   bool lb_moves_ = false;
+
+  /// agent_tick's guard: in combined/everywhere placements worker 0 runs
+  /// the agent side of a round inline in worker_tick.
+  bool agent_joins() const { return node_.cfg().has_dedicated_mpi() && round_active_; }
 
   void close_round() {
     ++round_no_;

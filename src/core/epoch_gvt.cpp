@@ -121,16 +121,13 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   const auto& cfg = node_.cfg();
   const bool agent_inline = worker.mpi_duty && !cfg.has_dedicated_mpi();
 
-  // The first worker to tick opens the pipeline; after that epochs chain
-  // from finish_epoch and this only fires again once the run has stopped
-  // (in which case it must not).
-  if (phase_ == Phase::kIdle && !node_.stopped()) begin_epoch();
+  if (opens_pipeline()) begin_epoch();
 
   // --- Join: contribute the epoch cut values and switch the send tag.
   // Unlike Mattern's white->red flip there is no separate Collect visit
   // later — the join IS the contribution, which is what lets the epoch
   // reduction start the moment the last local worker has passed here. ------
-  if (phase_ != Phase::kIdle && worker.gvt.epoch < epoch_) {
+  if (joins(worker)) {
     // Epochs never outrun a worker: epoch e+1 begins only after every
     // worker adopted epoch e.
     CAGVT_CHECK(worker.gvt.epoch + 1 == epoch_);
@@ -166,11 +163,10 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   // Synchronous epochs quiesce processing between join and adoption; held
   // workers still read (and count) incoming messages — deferred, like
   // Barrier GVT's ReadMessages — so the closing bucket can drain.
-  if (worker_held(worker)) co_await node_.read_messages_deferred(worker);
+  if (node_.reads_held(worker)) co_await node_.read_messages_deferred(worker);
 
   // --- Adopt: the reduction broadcast handed every rank the same value. ----
-  if (phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ &&
-      !worker.gvt.adopted) {
+  if (adopts(worker)) {
     CAGVT_CHECK(worker.gvt.contributed);
     worker.gvt.adopted = true;
     if (plan_ == RoundPlan::kRestore) {
@@ -198,26 +194,6 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
-bool EpochGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
-  // Mirrors worker_tick: open the pipeline, join, deferred reads, adopt.
-  // The caller guarantees both inboxes are empty, so a held worker's
-  // deferred read is a no-op.
-  if (phase_ == Phase::kIdle) return node_.stopped();
-  if (worker.gvt.epoch < epoch_) return false;
-  return !(phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ && !worker.gvt.adopted);
-}
-
-bool EpochGvt::agent_tick_is_noop(const WorkerCtx* self) const {
-  // Mirrors agent_tick: the dedicated agent's two sync barriers, then the
-  // reduction.
-  (void)self;
-  if (node_.cfg().has_dedicated_mpi() && sync_epoch_ &&
-      ((agent_prejoin_epoch_ < epoch_ && phase_ != Phase::kIdle) ||
-       (agent_postfossil_epoch_ < epoch_ && phase_ == Phase::kBroadcast)))
-    return false;
-  return phase_ != Phase::kReduce;
-}
-
 Process EpochGvt::agent_tick(WorkerCtx* self) {
   // The dedicated MPI thread is a party of a synchronous epoch's two
   // barriers. The joined-epoch markers are recorded BEFORE the await:
@@ -226,12 +202,12 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
   // stage counter written after the await would clobber that epoch's
   // state and wedge its pre-join barrier. (When the agent is an inline
   // worker, worker_tick already joins with the barrier_agent variant.)
-  if (node_.cfg().has_dedicated_mpi() && sync_epoch_) {
-    if (agent_prejoin_epoch_ < epoch_ && phase_ != Phase::kIdle) {
+  if (agent_syncs()) {
+    if (prejoin_due()) {
       agent_prejoin_epoch_ = epoch_;
       co_await agent_barrier("pre-join");
     }
-    if (agent_postfossil_epoch_ < epoch_ && phase_ == Phase::kBroadcast) {
+    if (postfossil_due()) {
       agent_postfossil_epoch_ = epoch_;
       co_await agent_barrier("post-fossil");
     }
@@ -242,7 +218,7 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
   // the same global sequence of waves (each wave's verdict is computed
   // from the identical reduced value on every rank), so the per-rank wave
   // counters stay aligned with no extra coordination. -----------------------
-  if (phase_ == Phase::kReduce) {
+  if (reduces()) {
     const int closing = EpochLedger::closing_bucket(epoch_);
     std::uint64_t committed = 0;
     std::uint64_t processed = 0;

@@ -76,8 +76,13 @@ class EpochGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool worker_tick_is_noop(const WorkerCtx& worker) const override;
-  bool agent_tick_is_noop(const WorkerCtx* self) const override;
+  bool worker_tick_is_noop(const WorkerCtx& worker) const override {
+    return !(opens_pipeline() || joins(worker) || node_.reads_held(worker) || adopts(worker));
+  }
+  bool agent_tick_is_noop(const WorkerCtx* self) const override {
+    (void)self;
+    return !((agent_syncs() && (prejoin_due() || postfossil_due())) || reduces());
+  }
 
   void on_token(const MatternToken& token) override {
     (void)token;
@@ -119,6 +124,25 @@ class EpochGvt : public GvtAlgorithm {
     kReduce,     // all local workers joined; agent drives tree waves
     kBroadcast,  // reduction complete; workers adopt, then the next epoch
   };
+
+  // --- step guards: each step of the two ticks runs under one (gvt.hpp) ---
+  /// Opens the pipeline at the first tick; epochs then chain from
+  /// finish_epoch, and after the run has stopped none may open.
+  bool opens_pipeline() const { return phase_ == Phase::kIdle && !node_.stopped(); }
+  bool joins(const WorkerCtx& worker) const {
+    return phase_ != Phase::kIdle && worker.gvt.epoch < epoch_;
+  }
+  bool adopts(const WorkerCtx& worker) const {
+    return phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ && !worker.gvt.adopted;
+  }
+  /// Read once per agent tick, before both barrier stages: by the time the
+  /// pre-join barrier releases, the next epoch may have begun.
+  bool agent_syncs() const { return node_.cfg().has_dedicated_mpi() && sync_epoch_; }
+  bool prejoin_due() const { return agent_prejoin_epoch_ < epoch_ && phase_ != Phase::kIdle; }
+  bool postfossil_due() const {
+    return agent_postfossil_epoch_ < epoch_ && phase_ == Phase::kBroadcast;
+  }
+  bool reduces() const { return phase_ == Phase::kReduce; }
 
   void begin_epoch();
   void finish_epoch();  // chains straight into begin_epoch unless stopped

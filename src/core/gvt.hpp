@@ -16,8 +16,10 @@
 //                       otherwise worker 0 (which then performs agent
 //                       duties inside its own worker_tick).
 //  * on_token         — a Mattern-style control message arrived.
-//  * *_tick_is_noop   — side-effect-free mirrors of the two ticks' trigger
-//                       conditions, asked before an idle poll is elided.
+//  * *_tick_is_noop   — asked before an idle poll is elided: each step of a
+//                       tick runs under a named guard that always has an
+//                       effect when it holds, so the query is "no guard
+//                       holds" (DESIGN §8).
 #pragma once
 
 #include <memory>
@@ -57,11 +59,9 @@ class GvtAlgorithm {
   virtual metasim::Process agent_tick(WorkerCtx* self) = 0;
   virtual void on_token(const MatternToken& token) = 0;
 
-  /// Idle-poll elision (DESIGN §8): would worker_tick(worker) change
-  /// nothing and schedule nothing, on an iteration that finds the worker
-  /// idle? The iteration has already counted itself, so interval triggers
-  /// are evaluated against iters_since_round + 1. Must be side-effect free
-  /// and mirror worker_tick's conditions; answer false when unsure.
+  /// Idle-poll elision: would worker_tick(worker) change and schedule
+  /// nothing? The elided iteration has already counted itself, so interval
+  /// guards are asked with iters_since_round + 1.
   virtual bool worker_tick_is_noop(const WorkerCtx& worker) const = 0;
   /// The same question for agent_tick(self).
   virtual bool agent_tick_is_noop(const WorkerCtx* self) const = 0;

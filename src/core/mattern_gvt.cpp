@@ -142,13 +142,8 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   // Alg. 3 adds the first conditional barrier). Colours alternate per
   // round — begin_round flips cur_color_, so "not yet the round's colour"
   // marks a thread that has not joined. -------------------------------------
-  // Red memory pressure forces an early round (fossil collection is the
-  // only way history drains); otherwise the interval clock decides.
-  if (phase_ == Phase::kIdle &&
-      (worker.gvt.iters_since_round >= cfg.gvt_interval ||
-       (node_.flow() != nullptr && node_.flow()->round_requested())))
-    begin_round();
-  if (phase_ == Phase::kRed && worker.gvt.color != cur_color_) {
+  if (opens_round(worker.gvt.iters_since_round)) begin_round();
+  if (joins(worker)) {
     if (sync_round_active_)
       co_await sys_barrier(agent_inline, worker.index_in_node, "pre-red");
     co_await cm_mutex_.lock();
@@ -165,13 +160,12 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   // During a synchronous round, held workers still read (and count)
   // incoming messages — deferred, like Barrier GVT's ReadMessages — so the
   // white count can drain while processing is quiesced.
-  if (worker_held(worker)) co_await node_.read_messages_deferred(worker);
+  if (node_.reads_held(worker)) co_await node_.read_messages_deferred(worker);
 
   // --- Red phase: once every white message is accounted for, contribute
   // LVT and min_red to the node control structure (Alg. 2 lines 8-12;
   // Alg. 3 adds the second barrier and the efficiency bookkeeping cost). ----
-  if (phase_ == Phase::kCollect && worker.gvt.color == cur_color_ &&
-      !worker.gvt.contributed) {
+  if (contributes(worker)) {
     if (sync_round_active_)
       co_await sys_barrier(agent_inline, worker.index_in_node, "pre-collect");
     if (contribute_overhead() > 0) co_await delay(contribute_overhead());
@@ -198,8 +192,7 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   // Alg. 3 adds the post-fossil barrier). Threads keep the round's colour:
   // messages sent from here on stay accountable — the next round drains
   // them as its previous colour. ---------------------------------------------
-  if (phase_ == Phase::kBroadcast && worker.gvt.color == cur_color_ &&
-      !worker.gvt.adopted) {
+  if (adopts(worker)) {
     CAGVT_CHECK(worker.gvt.contributed);
     worker.gvt.adopted = true;
     if (plan_ == RoundPlan::kRestore) {
@@ -233,20 +226,6 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
-bool MatternGvt::worker_tick_is_noop(const WorkerCtx& worker) const {
-  // One clause per block of worker_tick, in order. Joining (begin_round or
-  // the colour flip) is the only step that changes phase_ here, so every
-  // later clause sees the phase the tick would see. The caller guarantees
-  // both inboxes are empty, so a held worker's deferred read is a no-op
-  // and the Collect/Broadcast clauses cover its real steps.
-  if (phase_ == Phase::kIdle)
-    return worker.gvt.iters_since_round + 1 < node_.cfg().gvt_interval &&
-           !(node_.flow() != nullptr && node_.flow()->round_requested());
-  if (worker.gvt.color != cur_color_) return phase_ != Phase::kRed;
-  if (phase_ == Phase::kCollect && !worker.gvt.contributed) return false;
-  return !(phase_ == Phase::kBroadcast && !worker.gvt.adopted);
-}
-
 Process MatternGvt::agent_barrier(const char* which) {
   node_.trace().barrier_enter(node_.rank(), /*worker=*/-1, round_, which);
   co_await node_.collectives().barrier_agent();
@@ -254,34 +233,25 @@ Process MatternGvt::agent_barrier(const char* which) {
 }
 
 Process MatternGvt::agent_tick(WorkerCtx* self) {
-  const int workers = node_.cfg().workers_per_node();
-
   // The dedicated MPI thread is a party of a synchronous round's
   // system-wide barriers; join each as the round reaches it. Synchronous
   // rounds occur under CA-GVT's SyncFlag and in any checkpoint/restore
   // round. (When the agent is an inline worker, worker_tick already joins
   // with the barrier_agent variant, so no stage machine is needed.)
-  if (node_.cfg().has_dedicated_mpi() && sync_round_active_) {
-    if (agent_stage_ == 0 && phase_ != Phase::kIdle) {
-      co_await agent_barrier("pre-red");  // before white->red
-      agent_stage_ = 1;
-    }
-    if (agent_stage_ == 1 && phase_ == Phase::kCollect) {
-      co_await agent_barrier("pre-collect");  // before contributions
-      agent_stage_ = 2;
-    }
-    if (agent_stage_ == 2 && phase_ == Phase::kBroadcast) {
-      co_await agent_barrier("post-fossil");  // after fossil / ckpt / rewind
-      agent_stage_ = 3;
-    }
+  if (agent_barrier_due()) {
+    static constexpr const char* kStageBarrier[] = {"pre-red", "pre-collect", "post-fossil"};
+    do {
+      co_await agent_barrier(kStageBarrier[agent_stage_]);
+      ++agent_stage_;
+    } while (stage_reached(agent_stage_));
   }
-  if (phase_ == Phase::kIdle) agent_stage_ = 0;
+  if (resets_stage()) agent_stage_ = 0;
 
   // Background message counting: all agents repeatedly all-reduce the
   // cumulative counters of the PREVIOUS round's colour; zero means every
   // message of that colour — including stragglers sent after the last
   // round's broadcast — has arrived (accumulateMsgCountersAcrossNodes).
-  if (phase_ == Phase::kRed && red_count_ == workers && !counting_done_) {
+  if (counts()) {
     const std::int64_t& old_counter = counter_[idx(flip(cur_color_))];
     while (true) {
       bool pump = false;
@@ -302,8 +272,7 @@ Process MatternGvt::agent_tick(WorkerCtx* self) {
 
   // Originate the Collect circulation at rank 0 once every local thread
   // has contributed (circulateGlobalCM).
-  if (phase_ == Phase::kCollect && node_.rank() == 0 && !collect_forwarded_ &&
-      contributions_ == workers) {
+  if (originates()) {
     MatternToken token;
     token.phase = MatternToken::Phase::kCollect;
     token.round = round_;
@@ -318,49 +287,24 @@ Process MatternGvt::agent_tick(WorkerCtx* self) {
   }
 
   // Advance a held token.
-  if (have_token_) {
+  if (token_moves()) {
     MatternToken token = held_;
-    if (token.phase == MatternToken::Phase::kCollect) {
-      if (node_.rank() == 0) {
-        // Full circle: compute the GVT and start the broadcast.
-        CAGVT_CHECK(collect_forwarded_ && token.visits == node_.fabric().nranks());
-        have_token_ = false;
-        co_await complete_collect(token);
-      } else if (phase_ == Phase::kCollect && contributions_ == workers &&
-                 !collect_forwarded_) {
-        fold_node_into(token);
-        ++token.visits;
-        collect_forwarded_ = true;
-        have_token_ = false;
-        co_await send_token(token);
-      }
-      // Otherwise the token waits here until local contributions finish.
-    } else {  // kBroadcast
-      have_token_ = false;
+    have_token_ = false;
+    if (token.phase == MatternToken::Phase::kBroadcast) {
       apply_broadcast(token);
       ++token.visits;
       if (token.visits < node_.fabric().nranks()) co_await send_token(token);
+    } else if (node_.rank() == 0) {
+      // Full circle: compute the GVT and start the broadcast.
+      CAGVT_CHECK(collect_forwarded_ && token.visits == node_.fabric().nranks());
+      co_await complete_collect(token);
+    } else {
+      fold_node_into(token);
+      ++token.visits;
+      collect_forwarded_ = true;
+      co_await send_token(token);
     }
   }
-}
-
-bool MatternGvt::agent_tick_is_noop(const WorkerCtx* self) const {
-  (void)self;
-  const int workers = node_.cfg().workers_per_node();
-  if (node_.cfg().has_dedicated_mpi() && sync_round_active_ &&
-      ((agent_stage_ == 0 && phase_ != Phase::kIdle) ||
-       (agent_stage_ == 1 && phase_ == Phase::kCollect) ||
-       (agent_stage_ == 2 && phase_ == Phase::kBroadcast)))
-    return false;
-  if (phase_ == Phase::kIdle && agent_stage_ != 0) return false;  // the stage reset
-  if (phase_ == Phase::kRed && red_count_ == workers && !counting_done_) return false;
-  const bool can_forward =
-      phase_ == Phase::kCollect && contributions_ == workers && !collect_forwarded_;
-  if (can_forward && node_.rank() == 0) return false;
-  // A held Collect token at rank > 0 waits for the local contributions;
-  // every other held token moves on this tick.
-  return !have_token_ || (held_.phase == MatternToken::Phase::kCollect &&
-                          node_.rank() != 0 && !can_forward);
 }
 
 }  // namespace cagvt::core

@@ -69,8 +69,15 @@ class MatternGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool worker_tick_is_noop(const WorkerCtx& worker) const override;
-  bool agent_tick_is_noop(const WorkerCtx* self) const override;
+  bool worker_tick_is_noop(const WorkerCtx& worker) const override {
+    return !(opens_round(worker.gvt.iters_since_round + 1) || joins(worker) ||
+             node_.reads_held(worker) || contributes(worker) || adopts(worker));
+  }
+  bool agent_tick_is_noop(const WorkerCtx* self) const override {
+    (void)self;
+    return !(agent_barrier_due() || resets_stage() || counts() || originates() ||
+             token_moves());
+  }
 
   void on_token(const MatternToken& token) override {
     CAGVT_CHECK_MSG(!have_token_, "two GVT control messages at one node");
@@ -143,6 +150,45 @@ class MatternGvt : public GvtAlgorithm {
   /// "pre-collect", "post-fossil"); `worker` indexes the arriving thread
   /// (-1 for a dedicated MPI agent).
   metasim::Process sys_barrier(bool agent_side, int worker, const char* which);
+
+  // --- step guards: each step of the two ticks runs under one (gvt.hpp) ---
+  bool opens_round(int iters) const { return phase_ == Phase::kIdle && node_.round_due(iters); }
+  bool joins(const WorkerCtx& worker) const {
+    return phase_ == Phase::kRed && worker.gvt.color != cur_color_;
+  }
+  bool contributes(const WorkerCtx& worker) const {
+    return phase_ == Phase::kCollect && worker.gvt.color == cur_color_ &&
+           !worker.gvt.contributed;
+  }
+  bool adopts(const WorkerCtx& worker) const {
+    return phase_ == Phase::kBroadcast && worker.gvt.color == cur_color_ &&
+           !worker.gvt.adopted;
+  }
+  /// The round has reached the dedicated agent's barrier `stage`: 0 before
+  /// white->red, 1 before contributions, 2 after fossil / ckpt / rewind.
+  bool stage_reached(int stage) const {
+    return stage == 0   ? phase_ != Phase::kIdle
+           : stage == 1 ? phase_ == Phase::kCollect
+                        : stage == 2 && phase_ == Phase::kBroadcast;
+  }
+  bool agent_barrier_due() const {
+    return node_.cfg().has_dedicated_mpi() && sync_round_active_ && stage_reached(agent_stage_);
+  }
+  bool resets_stage() const { return phase_ == Phase::kIdle && agent_stage_ != 0; }
+  bool counts() const {
+    return phase_ == Phase::kRed && red_count_ == node_.cfg().workers_per_node() &&
+           !counting_done_;
+  }
+  bool can_forward() const {
+    return phase_ == Phase::kCollect && contributions_ == node_.cfg().workers_per_node() &&
+           !collect_forwarded_;
+  }
+  bool originates() const { return node_.rank() == 0 && can_forward(); }
+  /// A held Collect token at rank > 0 waits for can_forward.
+  bool token_moves() const {
+    return have_token_ && (held_.phase == MatternToken::Phase::kBroadcast ||
+                           node_.rank() == 0 || can_forward());
+  }
 
   static int idx(pdes::Color c) { return static_cast<int>(c); }
   static pdes::Color flip(pdes::Color c) {

@@ -153,16 +153,14 @@ std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_
 
 Process NodeRuntime::worker_main(WorkerCtx& worker) {
   metasim::FnPoller poller([this, &worker] { return skip_worker_iteration(worker); });
-  while (!stop_ || !gvt_->worker_done(worker)) {
+  while (!worker_exits(worker)) {
     if (down()) {
       co_await halt_if_down();
       continue;
     }
     bool did_work = false;
-    if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
-        worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0)
-      co_await mpi_progress(&did_work);
-    if (cfg_.mpi == MpiPlacement::kEverywhere) co_await worker_self_mpi(worker, &did_work);
+    if (mpi_turn(worker)) co_await mpi_progress(&did_work);
+    if (self_mpi_due()) co_await worker_self_mpi(worker, &did_work);
 
     if (!gvt_->worker_held(worker)) {
       co_await drain_inboxes(worker, &did_work);
@@ -195,19 +193,10 @@ double NodeRuntime::exec_bound(const WorkerCtx& worker) const {
 
 SimTime NodeRuntime::skip_worker_iteration(WorkerCtx& worker) {
   constexpr SimTime kResume = metasim::Poller::kResume;
-  // The loop would exit or halt.
-  if ((stop_ && gvt_->worker_done(worker)) || down()) return kResume;
-  if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
-      worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0 &&
-      !mpi_idle())
-    return kResume;
-  if (cfg_.mpi == MpiPlacement::kEverywhere && !fabric_.inbox(node_id_).empty()) return kResume;
-  // Non-empty inboxes are work: drain_inboxes reads them, or, while the
-  // worker is held, the GVT tick's deferred read does. With both empty the
-  // deferred read is a no-op, which the GVT mirrors below rely on.
-  if (!worker.regional_in.items.empty() || !worker.remote_in.items.empty()) return kResume;
+  if (worker_exits(worker) || down()) return kResume;
+  if ((mpi_turn(worker) && !mpi_idle()) || self_mpi_due() || has_mail(worker)) return kResume;
   // A held worker skips draining, processing and the controller ticks, so
-  // its mirror skips their queries too. Otherwise the kernel query comes
+  // the query skips their guards too. Otherwise the kernel query comes
   // first: it may drop cancelled entries off the pending heap, which must
   // happen only where process_next would run.
   const bool held = gvt_->worker_held(worker);
@@ -282,7 +271,7 @@ Process NodeRuntime::flow_tick(WorkerCtx& worker, bool* did_work) {
 
 Process NodeRuntime::mpi_main() {
   metasim::FnPoller poller([this] { return skip_mpi_iteration(); });
-  while (!stop_ || !gvt_->agent_done()) {
+  while (!agent_exits()) {
     if (down()) {
       co_await halt_if_down();
       continue;
@@ -295,7 +284,7 @@ Process NodeRuntime::mpi_main() {
 }
 
 SimTime NodeRuntime::skip_mpi_iteration() {
-  if ((stop_ && gvt_->agent_done()) || down() || !mpi_idle() ||
+  if (agent_exits() || down() || !mpi_idle() ||
       !gvt_->agent_tick_is_noop(nullptr))
     return metasim::Poller::kResume;
   return cpu(cfg_.cluster.mpi_poll);

@@ -225,6 +225,20 @@ class NodeRuntime {
   bool stopped() const { return stop_; }
   double final_gvt() const { return final_gvt_; }
 
+  /// Barrier and Mattern round trigger after `iters` counted iterations:
+  /// the interval passed, or red memory pressure forces an early round.
+  bool round_due(int iters) const {
+    return iters >= cfg_.gvt_interval || (flow_ != nullptr && flow_->round_requested());
+  }
+  /// Mail for drain_inboxes or, while the worker is held, the deferred read.
+  static bool has_mail(const WorkerCtx& worker) {
+    return !worker.regional_in.items.empty() || !worker.remote_in.items.empty();
+  }
+  /// Guard of the GVT ticks' deferred read (read_messages_deferred).
+  bool reads_held(const WorkerCtx& worker) const {
+    return has_mail(worker) && gvt_->worker_held(worker);
+  }
+
   // --- adaptive-policy throttle (SyncTier::kThrottle, DESIGN §13) --------
   /// Apply the tier the policy decided for the next round to the node's
   /// execution clamp: kThrottle and kSync hold it at GVT + clamp (sliding),
@@ -321,26 +335,36 @@ class NodeRuntime {
 
   metasim::Process worker_main(WorkerCtx& worker);
   metasim::Process mpi_main();
+  bool worker_exits(const WorkerCtx& worker) const { return stop_ && gvt_->worker_done(worker); }
+  bool agent_exits() const { return stop_ && gvt_->agent_done(); }
   /// Execution horizon of `worker`: the tightest of the adaptive GVT
   /// policy's throttle tier, the conservative bound (--sync) and the flow
   /// throttle clamp (--flow); infinity = free-running. worker_main and
-  /// skip_worker_iteration both ask it, so the loop and its mirror agree.
+  /// skip_worker_iteration both ask it, so the loop and its skip agree.
   double exec_bound(const WorkerCtx& worker) const;
   /// Idle-poll elision (DESIGN §8), asked by the engine when a parked
   /// loop's poll falls due: if the loop's next iteration would change
   /// nothing but the worker's iteration counters (and, unless the worker
   /// is held by a synchronous round, the conservative controller's step
   /// count) and end in another idle poll, perform those increments and
-  /// return that poll's delay; otherwise return Poller::kResume. Each
-  /// clause mirrors one step of worker_main / mpi_main (the cons and flow
-  /// ticks through their controllers' *_is_noop mirrors) and answers
-  /// "resume" where unsure. A held worker elides too: with both inboxes
-  /// empty its iteration is the GVT ticks alone.
+  /// return that poll's delay; otherwise return Poller::kResume. It asks
+  /// the guards worker_main's steps branch on, directly or through the
+  /// ticks' no-op queries; none may hold. A held worker elides too: with
+  /// both inboxes empty its iteration is the GVT ticks alone.
   metasim::SimTime skip_worker_iteration(WorkerCtx& worker);
   metasim::SimTime skip_mpi_iteration();
   /// True when mpi_progress would find nothing to do: no stall pulse and
   /// both the outbox and the node's fabric inbox empty.
   bool mpi_idle() const;
+  /// Combined placement: the MPI-duty worker's iteration runs mpi_progress.
+  bool mpi_turn(const WorkerCtx& worker) const {
+    return worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
+           worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0;
+  }
+  /// Everywhere placement: worker_self_mpi has fabric messages to unpack.
+  bool self_mpi_due() const {
+    return cfg_.mpi == MpiPlacement::kEverywhere && !fabric_.inbox(node_id_).empty();
+  }
   /// Conservative modes: run the controller's per-batch step and route the
   /// control messages (nulls, null requests) it wants sent.
   metasim::Process cons_tick(WorkerCtx& worker, int processed, bool* did_work);

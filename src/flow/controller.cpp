@@ -40,12 +40,12 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
                                        std::size_t history) {
   const std::size_t w = static_cast<std::size_t>(worker);
   const std::uint64_t pool = pending + history;
-  if (pool > peak_pool_) peak_pool_ = pool;
+  if (sets_peak(pool)) peak_pool_ = pool;
 
   const core::FlowPressurePolicy policy = policy_for(worker);
   const core::PressureTier tier = policy.classify(pool);
 
-  if (tier != tier_[w]) {
+  if (retiers(w, tier)) {
     tier_[w] = tier;
     if (trace_ != nullptr)
       trace_->flow_pressure(worker, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
@@ -53,9 +53,9 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
                             static_cast<std::int64_t>(policy.budget));
   }
 
-  if (tier != core::PressureTier::kGreen) throttles_[w].stress();
+  if (stresses(w, tier)) throttles_[w].stress();
 
-  if (tier == core::PressureTier::kRed) {
+  if (relieves(tier)) {
     ++red_ticks_;
     // Relief quota: enough of the furthest-ahead pending events to bring
     // the pool down to the release watermark. History drains via the
@@ -68,22 +68,18 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
       round_requested_ = true;
       ++forced_rounds_;
     }
-  } else {
+  } else if (clears_quota(w)) {
     quota_[w] = 0;
   }
   return tier;
 }
 
 bool Controller::tick_is_noop(int worker, std::size_t pending, std::size_t history) const {
-  // One clause per side effect of on_tick, then release's.
   const std::size_t w = static_cast<std::size_t>(worker);
   const std::uint64_t pool = pending + history;
-  if (pool > peak_pool_) return false;
   const core::PressureTier tier = policy_for(worker).classify(pool);
-  if (tier != tier_[w] || tier == core::PressureTier::kRed || quota_[w] != 0) return false;
-  if (tier != core::PressureTier::kGreen && !throttles_[w].stress_is_noop()) return false;
-  return std::none_of(parked_[w].begin(), parked_[w].end(),
-                      [this](const Parked& p) { return releasable(p); });
+  return !(sets_peak(pool) || retiers(w, tier) || stresses(w, tier) || relieves(tier) ||
+           clears_quota(w) || any_releasable(w));
 }
 
 void Controller::on_cancelback(int worker, const pdes::Event& event,
@@ -134,9 +130,14 @@ bool Controller::releasable(const Parked& p) const {
   return dest_calm || hold_expired;
 }
 
+bool Controller::any_releasable(std::size_t w) const {
+  return std::any_of(parked_[w].begin(), parked_[w].end(),
+                     [this](const Parked& p) { return releasable(p); });
+}
+
 void Controller::release(int worker, std::vector<pdes::Event>& out) {
+  if (!any_releasable(static_cast<std::size_t>(worker))) return;
   std::deque<Parked>& parked = parked_[static_cast<std::size_t>(worker)];
-  if (parked.empty()) return;
   std::size_t released = 0;
   std::deque<Parked> keep;
   while (!parked.empty()) {

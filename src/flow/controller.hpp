@@ -68,10 +68,9 @@ class Controller {
 
   /// Idle-poll elision (DESIGN §8): would on_tick(worker, pending, history)
   /// followed by release(worker) change nothing and hand back nothing? True
-  /// when the pool sets no new peak, the tier stays the same below red with
-  /// no quota, a yellow tier's throttle is already engaged at or above its
-  /// stress bound, and no parked event is eligible for release.
-  /// Side-effect free; mirrors on_tick and release.
+  /// when none of the guards their steps branch on holds: no new pool peak,
+  /// no tier change, no throttle stress, no red relief, no quota to clear
+  /// and no parked event eligible for release.
   bool tick_is_noop(int worker, std::size_t pending, std::size_t history) const;
 
   /// Pending events `worker` should return to their senders now (computed
@@ -180,6 +179,16 @@ class Controller {
   core::FlowPressurePolicy policy_for(int worker) const;
   /// May release() hand `p` back (destination calm or hold expired)?
   bool releasable(const Parked& p) const;
+
+  // Guards of on_tick's steps and of release (DESIGN §8).
+  bool sets_peak(std::uint64_t pool) const { return pool > peak_pool_; }
+  bool retiers(std::size_t w, core::PressureTier tier) const { return tier != tier_[w]; }
+  bool stresses(std::size_t w, core::PressureTier tier) const {
+    return tier != core::PressureTier::kGreen && !throttles_[w].stress_is_noop();
+  }
+  static bool relieves(core::PressureTier tier) { return tier == core::PressureTier::kRed; }
+  bool clears_quota(std::size_t w) const { return quota_[w] != 0; }
+  bool any_releasable(std::size_t w) const;
 
   FlowConfig cfg_;
   int workers_;

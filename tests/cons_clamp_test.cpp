@@ -1,7 +1,7 @@
 // Unit coverage of the execution clamp (cons/clamp.hpp) and the throttle
 // hysteresis built on it: engagement counting, the never-retract rule, the
 // width taken as given, release only after kCalmRounds calm rounds, and the
-// side-effect-free stress mirror that idle-poll elision asks.
+// side-effect-free stress guard that idle-poll elision asks.
 #include <gtest/gtest.h>
 
 #include "cons/clamp.hpp"

@@ -210,7 +210,7 @@ TEST(ConsControllerTest, MutuallyBlockedWorkersClimbTheLadder) {
 }
 
 // ---------------------------------------------------------------------------
-// Idle-poll elision mirror (DESIGN §8): idle_tick_is_noop must answer true
+// Idle-poll elision query (DESIGN §8): idle_tick_is_noop must answer true
 // exactly when an idle tick (processed == 0) emits nothing, and a
 // controller that replaces those ticks by count_idle_tick() must stay
 // indistinguishable from one that runs them: same control messages, same
@@ -255,7 +255,7 @@ std::vector<WireMsg> wire_of(const std::vector<Event>& events) {
 
 /// Drives two controllers in lockstep through a seeded mix of busy and idle
 /// ticks, control deliveries (FIFO, as per-pair transport delivers them)
-/// and GVT rounds; returns {idle ticks the mirror elided, idle ticks it
+/// and GVT rounds; returns {idle ticks the query elided, idle ticks it
 /// refused}.
 std::pair<int, int> run_idle_lockstep(SyncKind kind) {
   constexpr int kWorkers = 4;

@@ -50,8 +50,12 @@ RefResult sequential_reference(const SimulationConfig& cfg, const models::PholdP
   return {ref.committed(), ref.fingerprint(), ref.state_hash()};
 }
 
+// `max_wall_seconds` caps the simulated run. Each caller sets it to a small
+// multiple of the simulated time its cases need: with idle polls elided, a
+// wedged round keeps the clock moving cheaply, so a loose cap would let a
+// hang spin for host minutes before it fails.
 SimulationResult run_cluster(const SimulationConfig& cfg, const models::PholdParams& params,
-                             double max_wall_seconds = 120.0) {
+                             double max_wall_seconds) {
   const pdes::LpMap map = Simulation::make_map(cfg);
   models::PholdModel model(map, params);
   Simulation sim(cfg, model);
@@ -62,7 +66,7 @@ TEST(SimulationTest, MatternDedicatedMatchesReference) {
   SimulationConfig cfg = small_config();
   cfg.gvt = GvtKind::kMattern;
   const auto params = default_phold();
-  const SimulationResult result = run_cluster(cfg, params);
+  const SimulationResult result = run_cluster(cfg, params, /*max_wall_seconds=*/0.02);
   const RefResult ref = sequential_reference(cfg, params);
 
   EXPECT_TRUE(result.completed);
@@ -78,8 +82,8 @@ TEST(SimulationTest, DeterministicAcrossRuns) {
   SimulationConfig cfg = small_config();
   cfg.gvt = GvtKind::kMattern;
   const auto params = default_phold();
-  const SimulationResult a = run_cluster(cfg, params);
-  const SimulationResult b = run_cluster(cfg, params);
+  const SimulationResult a = run_cluster(cfg, params, /*max_wall_seconds=*/0.02);
+  const SimulationResult b = run_cluster(cfg, params, /*max_wall_seconds=*/0.02);
   EXPECT_EQ(a.events.committed, b.events.committed);
   EXPECT_EQ(a.events.processed, b.events.processed);
   EXPECT_EQ(a.events.rolled_back, b.events.rolled_back);
@@ -92,7 +96,7 @@ TEST(SimulationTest, DeterministicAcrossRuns) {
 TEST(SimulationTest, GvtTraceIsMonotone) {
   SimulationConfig cfg = small_config();
   cfg.gvt = GvtKind::kMattern;
-  const SimulationResult result = run_cluster(cfg, default_phold());
+  const SimulationResult result = run_cluster(cfg, default_phold(), /*max_wall_seconds=*/0.02);
   ASSERT_GT(result.gvt_trace.size(), 1u);
   for (std::size_t i = 1; i < result.gvt_trace.size(); ++i)
     EXPECT_GE(result.gvt_trace[i], result.gvt_trace[i - 1]);
@@ -122,7 +126,8 @@ TEST_P(ClusterSweep, MatchesSequentialReference) {
   params.remote_pct = c.remote;
   params.regional_pct = c.regional;
 
-  const SimulationResult result = run_cluster(cfg, params);
+  // The slowest case finishes within 4 simulated ms.
+  const SimulationResult result = run_cluster(cfg, params, /*max_wall_seconds=*/0.1);
   const RefResult ref = sequential_reference(cfg, params);
 
   EXPECT_TRUE(result.completed);
@@ -172,7 +177,8 @@ TEST(SimulationTest, CaGvtSwitchesToSyncUnderHeavyCommunication) {
   params.regional_pct = 0.60;
   params.epg_units = 200;
 
-  const SimulationResult result = run_cluster(cfg, params);
+  // Finishes within 19 simulated ms.
+  const SimulationResult result = run_cluster(cfg, params, /*max_wall_seconds=*/0.5);
   EXPECT_TRUE(result.completed);
   // The efficiency-triggered SyncFlag must have fired at least once.
   EXPECT_GT(result.sync_rounds, 0u);
@@ -213,36 +219,53 @@ TEST(SimulationTest, PaperScaleSmoke) {
 TEST(SimulationTest, IdlePollElisionFiresAndStaysExact) {
   struct Case {
     GvtKind gvt;
+    MpiPlacement mpi;
     const char* faults;
     std::uint64_t processed;
     std::int64_t wall_ns;
     std::uint64_t dispatched;
   };
   const char* straggler = "straggler:node=1,t=100us..2ms,slow=4x";
+  constexpr MpiPlacement kDedicated = MpiPlacement::kDedicated;
+  constexpr MpiPlacement kCombined = MpiPlacement::kCombined;
+  constexpr MpiPlacement kEverywhere = MpiPlacement::kEverywhere;
+  // The combined and everywhere cases cover the inline agent query, the
+  // combined placement's MPI poll period and the shared fabric inbox.
   const Case cases[] = {
-      {GvtKind::kBarrier, "", 778, 1356830, 9631},
-      {GvtKind::kMattern, "", 709, 892110, 75024},
-      {GvtKind::kControlledAsync, "", 709, 1039930, 95280},
-      {GvtKind::kEpoch, "", 691, 693365, 45376},
-      {GvtKind::kBarrier, straggler, 778, 2671300, 9628},
-      {GvtKind::kMattern, straggler, 732, 2215880, 233634},
-      {GvtKind::kControlledAsync, straggler, 732, 2236580, 234579},
-      {GvtKind::kEpoch, straggler, 699, 2129910, 211496},
+      {GvtKind::kBarrier, kDedicated, "", 778, 1356830, 9631},
+      {GvtKind::kMattern, kDedicated, "", 709, 892110, 75024},
+      {GvtKind::kControlledAsync, kDedicated, "", 709, 1039930, 95280},
+      {GvtKind::kEpoch, kDedicated, "", 691, 693365, 45376},
+      {GvtKind::kBarrier, kDedicated, straggler, 778, 2671300, 9628},
+      {GvtKind::kMattern, kDedicated, straggler, 732, 2215880, 233634},
+      {GvtKind::kControlledAsync, kDedicated, straggler, 732, 2236580, 234579},
+      {GvtKind::kEpoch, kDedicated, straggler, 699, 2129910, 211496},
+      {GvtKind::kBarrier, kCombined, "", 1133, 1545075, 3226},
+      {GvtKind::kMattern, kCombined, "", 1178, 1163380, 113033},
+      {GvtKind::kControlledAsync, kCombined, "", 1178, 1410380, 136271},
+      {GvtKind::kEpoch, kCombined, "", 1064, 884502, 63600},
+      {GvtKind::kBarrier, kEverywhere, "", 1020, 1102625, 2865},
+      {GvtKind::kMattern, kEverywhere, "", 1081, 1097995, 105393},
+      {GvtKind::kControlledAsync, kEverywhere, "", 1081, 1364255, 131688},
+      {GvtKind::kEpoch, kEverywhere, "", 1040, 868395, 61256},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(to_string(c.gvt)) + " faults='" + c.faults + "'");
+    SCOPED_TRACE(std::string(to_string(c.gvt)) + " mpi=" +
+                 std::string(to_string(c.mpi)) + " faults='" +
+                 c.faults + "'");
     SimulationConfig cfg = small_config();
     cfg.nodes = 8;
     cfg.end_vt = 10.0;
     cfg.gvt = c.gvt;
-    cfg.mpi = MpiPlacement::kDedicated;
+    cfg.mpi = c.mpi;
     cfg.faults = fault::parse_fault_schedule(c.faults);
     models::PholdParams params;  // the paper's computation-dominated profile
     params.regional_pct = 0.1;
     params.remote_pct = 0.01;
     params.epg_units = 10000;
 
-    const SimulationResult r = run_cluster(cfg, params);
+    // Every case finishes within 2.7 simulated ms.
+    const SimulationResult r = run_cluster(cfg, params, /*max_wall_seconds=*/0.1);
     const RefResult ref = sequential_reference(cfg, params);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.events.committed, ref.committed);
@@ -258,7 +281,7 @@ TEST(SimulationTest, IdlePollElisionFiresAndStaysExact) {
 
 // The same exactness for workers under the flow and conservative
 // controllers, whose per-iteration ticks are elided through the
-// controllers' own no-op mirrors (flow::Controller::tick_is_noop,
+// controllers' own no-op queries (flow::Controller::tick_is_noop,
 // cons::Controller::idle_tick_is_noop), and for workers held by
 // synchronous rounds, whose iterations are the GVT ticks alone. Beyond the
 // dispatch count, every flow counter and the exact utilization double

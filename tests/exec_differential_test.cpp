@@ -35,6 +35,10 @@ struct ModelCase {
   const char* options;
 };
 
+// Without it gtest prints the case as its pointer bytes, which change from
+// build to build and end up in the registered test name.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.model; }
+
 // Same golden matrix as core_determinism_test.cpp: small enough to finish in
 // milliseconds, large enough to force cross-node traffic and rollbacks.
 SimulationConfig golden_config() {

@@ -1,7 +1,7 @@
-// flow::Controller's idle-poll elision mirror (DESIGN §8). tick_is_noop
+// flow::Controller's idle-poll elision query (DESIGN §8). tick_is_noop
 // must answer true exactly when on_tick followed by release would change
 // no observable and hand back no event, and a controller that skips every
-// tick the mirror calls a no-op must stay indistinguishable from one that
+// tick the query calls a no-op must stay indistinguishable from one that
 // runs them all, through a seeded mix of pressure ticks, GVT rounds,
 // cancelbacks, rollbacks, round requests and `mem:` squeezes.
 #include <gtest/gtest.h>
@@ -85,7 +85,7 @@ TEST(FlowControllerTest, TickIsNoopMirrorsOnTickAndRelease) {
   faults.arm(engine, nullptr, nullptr);
 
   Controller full(cfg, kWorkers, &faults);     // runs every tick
-  Controller elided(cfg, kWorkers, &faults);   // skips the mirror's no-ops
+  Controller elided(cfg, kWorkers, &faults);   // skips the query's no-ops
   Xoshiro256StarStar rng(20261019);
   std::vector<std::size_t> pending(kWorkers, 8), history(kWorkers, 8);
   std::int64_t round = 0;
