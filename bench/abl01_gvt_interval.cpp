@@ -8,43 +8,40 @@
 // flushes.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void interval_point(benchmark::State& state, GvtKind gvt, const Workload& workload) {
+SimulationResult point(std::int64_t interval, GvtKind gvt, const Workload& workload) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
-  cfg.gvt_interval = static_cast<int>(state.range(0));
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["max_history"] = static_cast<double>(result.events.max_history);
+  cfg.gvt_interval = static_cast<int>(interval);
+  return core::run_phold(cfg, workload);
 }
 
-void BM_MatternComp(benchmark::State& state) {
-  interval_point(state, GvtKind::kMattern, Workload::computation());
+void history_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["max_history"] = static_cast<double>(r.events.max_history);
 }
-void BM_BarrierComp(benchmark::State& state) {
-  interval_point(state, GvtKind::kBarrier, Workload::computation());
-}
-void BM_BarrierComm(benchmark::State& state) {
-  interval_point(state, GvtKind::kBarrier, Workload::communication());
-}
-void BM_CaComm(benchmark::State& state) {
-  interval_point(state, GvtKind::kControlledAsync, Workload::communication());
-}
-
-#define CAGVT_INTERVAL_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("interval")->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_INTERVAL_SWEEP(BM_MatternComp);
-CAGVT_INTERVAL_SWEEP(BM_BarrierComp);
-CAGVT_INTERVAL_SWEEP(BM_BarrierComm);
-CAGVT_INTERVAL_SWEEP(BM_CaComm);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl01")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  const Axis interval{{"interval"}, {{10, 25, 50, 100}}};
+  return run_figure_main(
+      argc, argv, "abl01",
+      {{"BM_MatternComp",
+        [](const Args& a) { return point(a[0], GvtKind::kMattern, Workload::computation()); },
+        interval, history_counters},
+       {"BM_BarrierComp",
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, Workload::computation()); },
+        interval, history_counters},
+       {"BM_BarrierComm",
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, Workload::communication()); },
+        interval, history_counters},
+       {"BM_CaComm",
+        [](const Args& a) {
+          return point(a[0], GvtKind::kControlledAsync, Workload::communication());
+        },
+        interval, history_counters}});
+}

@@ -9,36 +9,33 @@
 // suffers.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void placement_point(benchmark::State& state, MpiPlacement mpi, const Workload& workload) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
+SimulationResult point(int nodes, MpiPlacement mpi) {
+  SimulationConfig cfg = figure_config(nodes);
   cfg.gvt = GvtKind::kMattern;
   cfg.mpi = mpi;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["lock_wait_thread_s"] = result.lock_wait_seconds;
+  return core::run_phold(cfg, Workload::communication());
 }
 
-void BM_DedicatedComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kDedicated, Workload::communication());
+void lock_wait_counter(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["lock_wait_thread_s"] = r.lock_wait_seconds;
 }
-void BM_CombinedComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kCombined, Workload::communication());
-}
-void BM_EverywhereComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kEverywhere, Workload::communication());
-}
-
-CAGVT_SERIES(BM_DedicatedComm);
-CAGVT_SERIES(BM_CombinedComm);
-CAGVT_SERIES(BM_EverywhereComm);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl03")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(
+      argc, argv, "abl03",
+      {{"BM_DedicatedComm",
+        [](const Args& a) { return point(a[0], MpiPlacement::kDedicated); }, kNodesAxis,
+        lock_wait_counter},
+       {"BM_CombinedComm", [](const Args& a) { return point(a[0], MpiPlacement::kCombined); },
+        kNodesAxis, lock_wait_counter},
+       {"BM_EverywhereComm",
+        [](const Args& a) { return point(a[0], MpiPlacement::kEverywhere); }, kNodesAxis,
+        lock_wait_counter}});
+}

@@ -7,45 +7,34 @@
 // traffic the imbalance would otherwise generate.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "models/imbalanced_phold.hpp"
 
 namespace cagvt::bench {
 namespace {
 
-void imbalance_point(benchmark::State& state, GvtKind gvt, double hot_factor) {
+SimulationResult point(std::int64_t hot_factor, GvtKind gvt) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
   const pdes::LpMap map = core::Simulation::make_map(cfg);
   models::ImbalancedPholdParams params;
   params.base = Workload::computation().phold();
   params.hot_worker_fraction = 0.25;
-  params.hot_factor = hot_factor;
+  params.hot_factor = static_cast<double>(hot_factor);
   const models::ImbalancedPholdModel model(map, params);
   core::Simulation sim(cfg, model);
-  SimulationResult result;
-  for (auto _ : state) result = sim.run();
-  export_counters(state, result);
+  return sim.run();
 }
-
-void BM_Mattern(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kMattern, static_cast<double>(state.range(0)));
-}
-void BM_Barrier(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kBarrier, static_cast<double>(state.range(0)));
-}
-void BM_CaGvt(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kControlledAsync, static_cast<double>(state.range(0)));
-}
-
-#define CAGVT_HOT_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("hot_factor")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_HOT_SWEEP(BM_Mattern);
-CAGVT_HOT_SWEEP(BM_Barrier);
-CAGVT_HOT_SWEEP(BM_CaGvt);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl04")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  const Axis hot_factor{{"hot_factor"}, {{1, 2, 4, 8}}};
+  return run_figure_main(
+      argc, argv, "abl04",
+      {{"BM_Mattern", [](const Args& a) { return point(a[0], GvtKind::kMattern); }, hot_factor},
+       {"BM_Barrier", [](const Args& a) { return point(a[0], GvtKind::kBarrier); }, hot_factor},
+       {"BM_CaGvt", [](const Args& a) { return point(a[0], GvtKind::kControlledAsync); },
+        hot_factor}});
+}

@@ -24,8 +24,6 @@
 // invocations produce byte-identical results.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 #include "fault/fault_parse.hpp"
 
 namespace cagvt::bench {
@@ -47,57 +45,46 @@ const Scenario kScenarios[] = {
     /*4 crash+lossy=*/{"loss:src=all,dst=all,rate=0.1;crash:node=1,t=2ms,down=1ms", 4},
 };
 
-void export_recovery_counters(benchmark::State& state, const SimulationResult& r) {
-  export_counters(state, r);
-  state.counters["frames_dropped"] = static_cast<double>(r.frames_dropped);
-  state.counters["retransmits"] = static_cast<double>(r.retransmits);
-  state.counters["dup_frames"] = static_cast<double>(r.duplicates_dropped);
-  state.counters["checkpoints"] = static_cast<double>(r.checkpoints);
-  state.counters["restores"] = static_cast<double>(r.restores);
-  state.counters["recovery_s"] = r.recovery_seconds;
-}
-
-void recovery_point(benchmark::State& state, GvtKind gvt) {
+SimulationResult point(GvtKind gvt, const char* schedule, std::int64_t ckpt_every) {
   SimulationConfig cfg = figure_config(4);
   cfg.gvt = gvt;
-  const Scenario& sc = kScenarios[state.range(0)];
-  if (sc.schedule[0] != '\0') cfg.faults = fault::parse_fault_schedule(sc.schedule);
-  cfg.ckpt_every = sc.ckpt_every;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_recovery_counters(state, result);
+  if (schedule[0] != '\0') cfg.faults = fault::parse_fault_schedule(schedule);
+  cfg.ckpt_every = static_cast<int>(ckpt_every);
+  return core::run_phold(cfg, Workload::computation());
 }
 
-void BM_Mattern(benchmark::State& state) { recovery_point(state, GvtKind::kMattern); }
-void BM_Barrier(benchmark::State& state) { recovery_point(state, GvtKind::kBarrier); }
-void BM_CaGvt(benchmark::State& state) {
-  recovery_point(state, GvtKind::kControlledAsync);
+SimulationResult scenario_point(std::int64_t scenario, GvtKind gvt) {
+  const Scenario& sc = kScenarios[scenario];
+  return point(gvt, sc.schedule, sc.ckpt_every);
 }
 
-// Arg: scenario index (see kScenarios above).
-#define CAGVT_RECOVERY_SWEEP(fn)                                            \
-  BENCHMARK(fn)->ArgName("scenario")->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4) \
-      ->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_RECOVERY_SWEEP(BM_Mattern);
-CAGVT_RECOVERY_SWEEP(BM_Barrier);
-CAGVT_RECOVERY_SWEEP(BM_CaGvt);
-
-// Checkpoint period under the crash scenario: 0 = initial checkpoint only.
-void BM_CkptPeriod(benchmark::State& state) {
-  SimulationConfig cfg = figure_config(4);
-  cfg.gvt = GvtKind::kControlledAsync;
-  cfg.faults = fault::parse_fault_schedule(kCrash);
-  cfg.ckpt_every = static_cast<int>(state.range(0));
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_recovery_counters(state, result);
+void recovery_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["frames_dropped"] = static_cast<double>(r.frames_dropped);
+  c["retransmits"] = static_cast<double>(r.retransmits);
+  c["dup_frames"] = static_cast<double>(r.duplicates_dropped);
+  c["checkpoints"] = static_cast<double>(r.checkpoints);
+  c["restores"] = static_cast<double>(r.restores);
+  c["recovery_s"] = r.recovery_seconds;
 }
-
-BENCHMARK(BM_CkptPeriod)->ArgName("ckpt_every")->Arg(0)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl07")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  // Scenario index (see kScenarios above).
+  const Axis scenario{{"scenario"}, {{0, 1, 2, 3, 4}}};
+  return run_figure_main(
+      argc, argv, "abl07",
+      {{"BM_Mattern", [](const Args& a) { return scenario_point(a[0], GvtKind::kMattern); },
+        scenario, recovery_counters},
+       {"BM_Barrier", [](const Args& a) { return scenario_point(a[0], GvtKind::kBarrier); },
+        scenario, recovery_counters},
+       {"BM_CaGvt",
+        [](const Args& a) { return scenario_point(a[0], GvtKind::kControlledAsync); },
+        scenario, recovery_counters},
+       // Checkpoint period under the crash scenario: 0 = initial checkpoint only.
+       {"BM_CkptPeriod",
+        [](const Args& a) { return point(GvtKind::kControlledAsync, kCrash, a[0]); },
+        {{"ckpt_every"}, {{0, 2, 4, 8}}}, recovery_counters}});
+}

@@ -25,28 +25,30 @@
 // sim_wall_s — simulated cluster wall-clock on the same virtual horizon.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "models/hotspot_phold.hpp"
 #include "models/imbalanced_phold.hpp"
 
 namespace cagvt::bench {
 namespace {
 
+using cons::SyncKind;
+
 enum Model { kPhold = 0, kImbalanced = 1, kHotspot = 2 };
 
-void export_cons_counters(benchmark::State& state, const SimulationResult& r) {
-  state.counters["cons_utilization"] = r.cons_utilization;
-  state.counters["cons_null_ratio"] = r.cons_null_ratio;
-  state.counters["cons_horizon_width"] = r.cons_horizon_width;
-  state.counters["null_msgs"] = static_cast<double>(r.cons_null_msgs);
-  state.counters["req_msgs"] = static_cast<double>(r.cons_req_msgs);
+void cons_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["cons_utilization"] = r.cons_utilization;
+  c["cons_null_ratio"] = r.cons_null_ratio;
+  c["cons_horizon_width"] = r.cons_horizon_width;
+  c["null_msgs"] = static_cast<double>(r.cons_null_msgs);
+  c["req_msgs"] = static_cast<double>(r.cons_req_msgs);
 }
 
-void crossover_point(benchmark::State& state, cons::SyncKind sync) {
+// Args: model, epg, remote%, LPs/worker.
+SimulationResult point(const Args& a, SyncKind sync) {
   SimulationConfig cfg;
   cfg.nodes = 2;
   cfg.threads_per_node = 4;
-  cfg.lps_per_worker = static_cast<int>(state.range(3));
+  cfg.lps_per_worker = static_cast<int>(a[3]);
   cfg.end_vt = 60.0;
   cfg.gvt = GvtKind::kMattern;
   cfg.gvt_interval = 8;
@@ -56,20 +58,18 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
   // conservative lookahead, and it perturbs the optimistic timestamp
   // stream the same way, so the three series commit the same events.
   models::PholdParams base;
-  base.epg_units = static_cast<double>(state.range(1));
-  base.remote_pct = static_cast<double>(state.range(2)) / 100.0;
+  base.epg_units = static_cast<double>(a[1]);
+  base.remote_pct = static_cast<double>(a[2]) / 100.0;
   base.regional_pct = 0.20;
   base.mean_delay = 1.0;
   base.min_delay = 0.5;
 
   const pdes::LpMap map = core::Simulation::make_map(cfg);
-  SimulationResult result;
-  switch (static_cast<Model>(state.range(0))) {
+  switch (static_cast<Model>(a[0])) {
     case kPhold: {
       const models::PholdModel model(map, base);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
     case kImbalanced: {
       models::ImbalancedPholdParams params;
@@ -78,8 +78,7 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
       params.hot_factor = 4.0;
       const models::ImbalancedPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
     case kHotspot: {
       models::HotspotPholdParams params;
@@ -89,34 +88,26 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
       params.hot_cost = 6.0;
       const models::HotspotPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
   }
-  export_counters(state, result);
-  export_cons_counters(state, result);
+  return {};
 }
-
-void BM_Optimistic(benchmark::State& state) {
-  crossover_point(state, cons::SyncKind::kOptimistic);
-}
-void BM_Cmb(benchmark::State& state) { crossover_point(state, cons::SyncKind::kCmb); }
-void BM_Window(benchmark::State& state) { crossover_point(state, cons::SyncKind::kWindow); }
-
-// Args: model (0 phold, 1 imbalanced, 2 hotspot) x epg x remote% x
-// LPs/worker — the full 24-point grid per sync mode.
-#define CAGVT_CROSSOVER_SWEEP(fn)                         \
-  BENCHMARK(fn)                                           \
-      ->ArgNames({"model", "epg", "remote", "lps"})       \
-      ->ArgsProduct({{0, 1, 2}, {500, 10000}, {1, 10}, {8, 32}}) \
-      ->Iterations(1)                                     \
-      ->Unit(benchmark::kMillisecond)
-
-CAGVT_CROSSOVER_SWEEP(BM_Optimistic);
-CAGVT_CROSSOVER_SWEEP(BM_Cmb);
-CAGVT_CROSSOVER_SWEEP(BM_Window);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl09")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  // Model (0 phold, 1 imbalanced, 2 hotspot) x epg x remote% x LPs/worker:
+  // the full 24-point grid per sync mode.
+  const Axis grid{{"model", "epg", "remote", "lps"},
+                  {{0, 1, 2}, {500, 10000}, {1, 10}, {8, 32}}};
+  return run_figure_main(
+      argc, argv, "abl09",
+      {{"BM_Optimistic", [](const Args& a) { return point(a, SyncKind::kOptimistic); }, grid,
+        cons_counters},
+       {"BM_Cmb", [](const Args& a) { return point(a, SyncKind::kCmb); }, grid, cons_counters},
+       {"BM_Window", [](const Args& a) { return point(a, SyncKind::kWindow); }, grid,
+        cons_counters}});
+}

@@ -27,7 +27,6 @@
 
 #include <string>
 
-#include "bench_json.hpp"
 #include "fault/fault_parse.hpp"
 #include "flow/flow_config.hpp"
 #include "models/hotspot_phold.hpp"
@@ -35,20 +34,28 @@
 namespace cagvt::bench {
 namespace {
 
-void export_flow_counters(benchmark::State& state, const SimulationResult& r) {
-  export_counters(state, r);
-  state.counters["peak_pool"] = static_cast<double>(r.peak_event_pool);
-  state.counters["cancelbacks"] = static_cast<double>(r.flow_cancelbacks);
-  state.counters["releases"] = static_cast<double>(r.flow_releases);
-  state.counters["storms"] = static_cast<double>(r.flow_storms);
-  state.counters["throttle_engagements"] =
-      static_cast<double>(r.flow_throttle_engagements);
-  state.counters["forced_rounds"] = static_cast<double>(r.flow_forced_rounds);
-  state.counters["secondary_frac"] =
-      r.events.rollback_episodes == 0
-          ? 0.0
-          : static_cast<double>(r.events.secondary_rollbacks) /
-                static_cast<double>(r.events.rollback_episodes);
+void flow_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["peak_pool"] = static_cast<double>(r.peak_event_pool);
+  c["cancelbacks"] = static_cast<double>(r.flow_cancelbacks);
+  c["releases"] = static_cast<double>(r.flow_releases);
+  c["storms"] = static_cast<double>(r.flow_storms);
+  c["throttle_engagements"] = static_cast<double>(r.flow_throttle_engagements);
+  c["forced_rounds"] = static_cast<double>(r.flow_forced_rounds);
+  c["secondary_frac"] = r.events.rollback_episodes == 0
+                            ? 0.0
+                            : static_cast<double>(r.events.secondary_rollbacks) /
+                                  static_cast<double>(r.events.rollback_episodes);
+}
+
+SimulationConfig overload_config() {
+  SimulationConfig cfg;
+  cfg.nodes = 2;
+  cfg.threads_per_node = 4;
+  cfg.lps_per_worker = 8;
+  cfg.end_vt = 60.0;
+  cfg.gvt = GvtKind::kMattern;  // no CA queue trigger: optimism uncontrolled
+  cfg.gvt_interval = 24;
+  return cfg;
 }
 
 SimulationResult run_hotspot(const SimulationConfig& cfg) {
@@ -69,64 +76,44 @@ SimulationResult run_hotspot(const SimulationConfig& cfg) {
 // every worker for a 2ms mid-run window via the `mem:` fault spec — under
 // --flow=off it is inert (nothing consumes the budget), which keeps the
 // two series' event streams identical.
-void overload_point(benchmark::State& state, bool bounded) {
-  SimulationConfig cfg;
-  cfg.nodes = 2;
-  cfg.threads_per_node = 4;
-  cfg.lps_per_worker = 8;
-  cfg.end_vt = 60.0;
-  cfg.gvt = GvtKind::kMattern;  // no CA queue trigger: optimism uncontrolled
-  cfg.gvt_interval = 24;
-  const auto budget = static_cast<std::int64_t>(state.range(0));
+SimulationResult overload_point(const Args& a, bool bounded) {
+  SimulationConfig cfg = overload_config();
+  const std::int64_t budget = a[0];
   if (bounded) {
     cfg.flow.kind = flow::FlowKind::kBounded;
     cfg.flow.mem = budget;
   }
-  if (state.range(1) != 0) {
+  if (a[1] != 0) {
     cfg.faults = fault::parse_fault_schedule(
         "mem:worker=all,budget=" + std::to_string(budget / 2) + ",t=1ms..3ms");
   }
-  SimulationResult result;
-  for (auto _ : state) result = run_hotspot(cfg);
-  export_flow_counters(state, result);
+  return run_hotspot(cfg);
 }
-
-void BM_FlowOff(benchmark::State& state) { overload_point(state, false); }
-void BM_FlowBounded(benchmark::State& state) { overload_point(state, true); }
-
-#define CAGVT_OVERLOAD_SWEEP(fn)                    \
-  BENCHMARK(fn)                                     \
-      ->ArgNames({"budget", "squeeze"})             \
-      ->ArgsProduct({{256, 1024}, {0, 1}})          \
-      ->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_OVERLOAD_SWEEP(BM_FlowOff);
-CAGVT_OVERLOAD_SWEEP(BM_FlowBounded);
 
 // Throttle clamp width under the squeezed 256-budget point: a narrow clamp
 // contains storms hardest but serializes progress; a wide one barely
 // throttles. The sweep brackets the default (4.0).
-void BM_ClampWidth(benchmark::State& state) {
-  SimulationConfig cfg;
-  cfg.nodes = 2;
-  cfg.threads_per_node = 4;
-  cfg.lps_per_worker = 8;
-  cfg.end_vt = 60.0;
-  cfg.gvt = GvtKind::kMattern;
-  cfg.gvt_interval = 24;
+SimulationResult clamp_point(std::int64_t clamp) {
+  SimulationConfig cfg = overload_config();
   cfg.flow.kind = flow::FlowKind::kBounded;
   cfg.flow.mem = 256;
-  cfg.flow.clamp = static_cast<double>(state.range(0));
+  cfg.flow.clamp = static_cast<double>(clamp);
   cfg.faults = fault::parse_fault_schedule("mem:worker=all,budget=128,t=1ms..3ms");
-  SimulationResult result;
-  for (auto _ : state) result = run_hotspot(cfg);
-  export_flow_counters(state, result);
+  return run_hotspot(cfg);
 }
-
-BENCHMARK(BM_ClampWidth)->ArgName("clamp")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl10")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  const Axis budget_squeeze{{"budget", "squeeze"}, {{256, 1024}, {0, 1}}};
+  return run_figure_main(
+      argc, argv, "abl10",
+      {{"BM_FlowOff", [](const Args& a) { return overload_point(a, false); }, budget_squeeze,
+        flow_counters},
+       {"BM_FlowBounded", [](const Args& a) { return overload_point(a, true); },
+        budget_squeeze, flow_counters},
+       {"BM_ClampWidth", [](const Args& a) { return clamp_point(a[0]); },
+        {{"clamp"}, {{1, 2, 4, 8}}}, flow_counters}});
+}

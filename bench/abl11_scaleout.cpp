@@ -33,17 +33,17 @@ SimulationResult point(int nodes, GvtKind gvt) {
 
 int main(int argc, char** argv) {
   using namespace cagvt::bench;
-  std::vector<int> nodes = {8, 16, 32, 64};
+  Axis nodes{{"nodes"}, {{8, 16, 32, 64}}};
   const char* stress = std::getenv("CAGVT_ABL11_STRESS");
   if (stress != nullptr && std::string(stress) != "0") {
-    nodes.push_back(128);
-    nodes.push_back(256);
+    nodes.values[0].push_back(128);
+    nodes.values[0].push_back(256);
   }
   return run_figure_main(
       argc, argv, "abl11",
-      {{"BM_Barrier", [](int n) { return point(n, GvtKind::kBarrier); }},
-       {"BM_Mattern", [](int n) { return point(n, GvtKind::kMattern); }},
-       {"BM_CaGvt", [](int n) { return point(n, GvtKind::kControlledAsync); }},
-       {"BM_Epoch", [](int n) { return point(n, GvtKind::kEpoch); }}},
-      nodes);
+      {{"BM_Barrier", [](const Args& a) { return point(a[0], GvtKind::kBarrier); }, nodes},
+       {"BM_Mattern", [](const Args& a) { return point(a[0], GvtKind::kMattern); }, nodes},
+       {"BM_CaGvt", [](const Args& a) { return point(a[0], GvtKind::kControlledAsync); },
+        nodes},
+       {"BM_Epoch", [](const Args& a) { return point(a[0], GvtKind::kEpoch); }, nodes}});
 }

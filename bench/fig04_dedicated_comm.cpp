@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
   return run_figure_main(
       argc, argv, "fig04",
       {{"BM_MatternDedicated",
-        [](int n) { return point(n, GvtKind::kMattern, MpiPlacement::kDedicated); }},
+        [](const Args& a) { return point(a[0], GvtKind::kMattern, MpiPlacement::kDedicated); }},
        {"BM_MatternCombined",
-        [](int n) { return point(n, GvtKind::kMattern, MpiPlacement::kCombined); }},
+        [](const Args& a) { return point(a[0], GvtKind::kMattern, MpiPlacement::kCombined); }},
        {"BM_BarrierDedicated",
-        [](int n) { return point(n, GvtKind::kBarrier, MpiPlacement::kDedicated); }},
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, MpiPlacement::kDedicated); }},
        {"BM_BarrierCombined",
-        [](int n) { return point(n, GvtKind::kBarrier, MpiPlacement::kCombined); }}});
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, MpiPlacement::kCombined); }}});
 }

@@ -21,6 +21,6 @@ int main(int argc, char** argv) {
   using namespace cagvt::bench;
   return run_figure_main(
       argc, argv, "fig06",
-      {{"BM_Mattern", [](int n) { return point(n, GvtKind::kMattern); }},
-       {"BM_Barrier", [](int n) { return point(n, GvtKind::kBarrier); }}});
+      {{"BM_Mattern", [](const Args& a) { return point(a[0], GvtKind::kMattern); }},
+       {"BM_Barrier", [](const Args& a) { return point(a[0], GvtKind::kBarrier); }}});
 }

@@ -1,24 +1,41 @@
-// Shared plumbing for the per-figure bench binaries.
+// The one harness behind every bench binary.
 //
-// Every binary regenerates one figure/table of the paper: each
-// google-benchmark "benchmark" is one series (a GVT algorithm / MPI
-// placement combination) swept over the node counts on the figure's
-// x-axis. The simulator is deterministic, so each point runs exactly once
-// (Iterations(1)); the paper's metrics are exported as benchmark counters:
+// Each binary regenerates one figure, table or ablation of the paper. A
+// figure is a list of series (a GVT algorithm / MPI placement / model
+// combination); each series sweeps its own axis of points, by default the
+// paper's node counts (1, 2, 4, 8). run_figure_main registers every series
+// x point as a one-iteration google-benchmark row, computes the whole table
+// on first use through core::run_parallel (every point is an independent
+// simulation, so the sweep saturates the host's cores), and exports each
+// point's counters serially, in row order:
 //
 //   rate_events_s   committed event rate (the y-axis of Figures 3-12)
 //   efficiency_pct  committed / processed
 //   rollbacks       events undone
-//   gvt_rounds / sync_rounds
+//   gvt_rounds / sync_rounds / gvt_rounds_per_s / tree_frames
 //   sim_wall_s      simulated wall-clock duration of the run
+//   lvt_disparity, completed
 //
-// CAGVT_BENCH_SCALE scales the per-node thread/LP counts (see
-// core/experiment.hpp); the default finishes the whole bench suite in
-// minutes.
+// plus whatever counters the series' `extra` hook adds. The simulator is
+// deterministic, so each point runs exactly once and the counters are the
+// product; the row's timings are not. Listing rows (--benchmark_list_tests)
+// never runs a simulation.
+//
+// The report is written to BENCH_<figure>.json (the committed baselines
+// scripts/check_bench_baselines.py gates on) by injecting --benchmark_out
+// flags ahead of the user's arguments, so an explicit --benchmark_out on
+// the command line still wins. Control via environment:
+//
+//   CAGVT_BENCH_JSON_DIR   output directory (default: current directory)
+//   CAGVT_BENCH_JSON=0     disable the file entirely
+//   CAGVT_BENCH_SCALE      scales the per-node thread/LP counts of
+//                          figure_config (see core/experiment.hpp)
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -26,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/experiment.hpp"
 
 namespace cagvt::bench {
@@ -41,104 +57,133 @@ inline SimulationConfig figure_config(int nodes) {
   return core::scaled_config(nodes, core::bench_scale_from_env());
 }
 
-inline void export_counters(benchmark::State& state, const SimulationResult& r) {
-  state.counters["rate_events_s"] = r.committed_rate;
-  state.counters["efficiency_pct"] = r.efficiency * 100.0;
-  state.counters["rollbacks"] = static_cast<double>(r.events.rolled_back);
-  state.counters["gvt_rounds"] = static_cast<double>(r.gvt_rounds);
-  state.counters["sync_rounds"] = static_cast<double>(r.sync_rounds);
-  state.counters["sim_wall_s"] = r.wall_seconds;
-  state.counters["lvt_disparity"] = r.avg_lvt_disparity;
-  state.counters["completed"] = r.completed ? 1 : 0;
-  state.counters["gvt_rounds_per_s"] =
-      r.wall_seconds > 0 ? static_cast<double>(r.gvt_rounds) / r.wall_seconds : 0;
-  state.counters["tree_frames"] = static_cast<double>(r.tree_frames);
-}
+/// One point's argument values, in the order of its series' axis names.
+using Args = std::vector<std::int64_t>;
 
-/// One figure point: PHOLD under `workload` with the given algorithm and
-/// placement, nodes taken from the benchmark argument.
-inline void run_phold_point(benchmark::State& state, GvtKind gvt, MpiPlacement mpi,
-                            const Workload& workload) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
-  cfg.gvt = gvt;
-  cfg.mpi = mpi;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-}
+/// The points one series sweeps: the product of each named argument's
+/// values, first argument varying fastest (google-benchmark's ArgsProduct
+/// order). No names means a single point without arguments.
+struct Axis {
+  std::vector<std::string> names;
+  std::vector<std::vector<std::int64_t>> values;
 
-/// One mixed-model figure point (Figures 10-12). Mixed runs use a longer
-/// virtual horizon so each communication phase lasts long enough for its
-/// characteristic rollback dynamics to develop (the paper's phases span
-/// minutes of execution).
-inline void run_mixed_point(benchmark::State& state, GvtKind gvt, double x_pct, double y_pct,
-                            double end_vt = 150.0) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
-  cfg.end_vt = end_vt;
-  cfg.gvt = gvt;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_mixed(cfg, x_pct, y_pct);
-  export_counters(state, result);
-}
-
-/// One curve on a figure: a name (the legend entry / benchmark name) and
-/// the closure that produces the point at a given node count.
-struct FigureSeries {
-  std::string name;
-  std::function<SimulationResult(int nodes)> run;
+  std::vector<Args> points() const {
+    std::vector<Args> out{Args{}};
+    for (const auto& axis_values : values) {
+      std::vector<Args> next;
+      for (const std::int64_t v : axis_values) {
+        for (Args args : out) {
+          args.push_back(v);
+          next.push_back(std::move(args));
+        }
+      }
+      out = std::move(next);
+    }
+    return out;
+  }
 };
 
-/// Main entry for the per-figure binaries: registers every series x node
-/// point as a one-iteration benchmark, computes the WHOLE result table on
-/// first use via core::run_parallel (every point is an independent
-/// simulation, so the sweep saturates the host's cores instead of running
-/// serially), and writes the google-benchmark JSON report to
-/// BENCH_<figure>.json through bench_json.hpp. Listing benchmarks
-/// (--benchmark_list_tests) never runs a simulation.
+inline const Axis kNodesAxis{{"nodes"}, {{1, 2, 4, 8}}};
+
+/// Counters a series adds to export_counters' set for one point.
+using ExtraCounters =
+    std::function<void(const SimulationResult&, benchmark::UserCounters&)>;
+
+/// One curve on a figure: a name (the legend entry / row name), the closure
+/// that produces one point, the axis it sweeps and its extra counters.
+struct FigureSeries {
+  std::string name;
+  std::function<SimulationResult(const Args&)> run;
+  Axis axis = kNodesAxis;
+  ExtraCounters extra = {};
+};
+
+inline void export_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["rate_events_s"] = r.committed_rate;
+  c["efficiency_pct"] = r.efficiency * 100.0;
+  c["rollbacks"] = static_cast<double>(r.events.rolled_back);
+  c["gvt_rounds"] = static_cast<double>(r.gvt_rounds);
+  c["sync_rounds"] = static_cast<double>(r.sync_rounds);
+  c["sim_wall_s"] = r.wall_seconds;
+  c["lvt_disparity"] = r.avg_lvt_disparity;
+  c["completed"] = r.completed ? 1 : 0;
+  c["gvt_rounds_per_s"] =
+      r.wall_seconds > 0 ? static_cast<double>(r.gvt_rounds) / r.wall_seconds : 0;
+  c["tree_frames"] = static_cast<double>(r.tree_frames);
+}
+
+/// Parses the command line, runs the registered rows and writes the JSON
+/// report (see the header comment).
+inline int run_with_json_baseline(int argc, char** argv, const char* figure) {
+  std::string out_flag;
+  const char* toggle = std::getenv("CAGVT_BENCH_JSON");
+  if (toggle == nullptr || std::string(toggle) != "0") {
+    const char* dir = std::getenv("CAGVT_BENCH_JSON_DIR");
+    out_flag = "--benchmark_out=" + std::string(dir != nullptr ? dir : ".") +
+               "/BENCH_" + figure + ".json";
+  }
+
+  std::string format_flag = "--benchmark_out_format=json";
+  std::vector<char*> args;
+  args.push_back(argv[0]);
+  if (!out_flag.empty()) {
+    // Before the user's flags: google-benchmark keeps the last occurrence,
+    // so an explicit --benchmark_out on the command line overrides ours.
+    args.push_back(out_flag.data());
+    args.push_back(format_flag.data());
+  }
+  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
+  int injected_argc = static_cast<int>(args.size());
+
+  benchmark::Initialize(&injected_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(injected_argc, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}
+
+/// Main entry for every bench binary (see the header comment).
 inline int run_figure_main(int argc, char** argv, const char* figure,
-                           std::vector<FigureSeries> series,
-                           std::vector<int> nodes = {1, 2, 4, 8}) {
+                           std::vector<FigureSeries> series) {
+  struct Row {
+    const FigureSeries* series;
+    Args args;
+  };
   struct Table {
     std::once_flag once;
     std::vector<FigureSeries> series;
-    std::vector<int> nodes;
+    std::vector<Row> rows;
     std::vector<SimulationResult> results;
   };
   auto table = std::make_shared<Table>();
   table->series = std::move(series);
-  table->nodes = std::move(nodes);
+  for (const FigureSeries& s : table->series)
+    for (Args& args : s.axis.points()) table->rows.push_back({&s, std::move(args)});
   const auto compute = [table] {
     std::vector<std::function<SimulationResult()>> points;
-    points.reserve(table->series.size() * table->nodes.size());
-    for (const FigureSeries& s : table->series)
-      for (const int n : table->nodes)
-        points.push_back([&s, n] { return s.run(n); });
+    points.reserve(table->rows.size());
+    for (const Row& row : table->rows)
+      points.push_back([&row] { return row.series->run(row.args); });
     table->results = core::run_parallel(std::move(points));
   };
-  for (std::size_t si = 0; si < table->series.size(); ++si) {
-    for (std::size_t ni = 0; ni < table->nodes.size(); ++ni) {
-      const std::size_t idx = si * table->nodes.size() + ni;
-      benchmark::RegisterBenchmark(
-          table->series[si].name.c_str(),
-          [table, compute, idx](benchmark::State& state) {
-            std::call_once(table->once, compute);
-            for (auto _ : state) {
-              // The simulator is deterministic and already ran in compute();
-              // the counters below are the product, not the loop timing.
-            }
-            export_counters(state, table->results[idx]);
-          })
-          ->ArgName("nodes")
-          ->Arg(table->nodes[ni])
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+  for (std::size_t i = 0; i < table->rows.size(); ++i) {
+    const Row& row = table->rows[i];
+    benchmark::internal::Benchmark* bench = benchmark::RegisterBenchmark(
+        row.series->name.c_str(), [table, compute, i](benchmark::State& state) {
+          std::call_once(table->once, compute);
+          for (auto _ : state) {
+            // The simulator is deterministic and already ran in compute();
+            // the counters below are the product, not the loop timing.
+          }
+          const SimulationResult& result = table->results[i];
+          export_counters(result, state.counters);
+          const ExtraCounters& extra = table->rows[i].series->extra;
+          if (extra) extra(result, state.counters);
+        });
+    if (!row.args.empty()) bench->ArgNames(row.series->axis.names)->Args(row.args);
+    bench->Iterations(1)->Unit(benchmark::kMillisecond);
   }
   return run_with_json_baseline(argc, argv, figure);
 }
 
 }  // namespace cagvt::bench
-
-/// Registers one series swept over the paper's node counts (1, 2, 4, 8).
-#define CAGVT_SERIES(fn) \
-  BENCHMARK(fn)->ArgName("nodes")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond)

@@ -9,44 +9,42 @@
 //   Barrier comm efficiency 94.2% vs Mattern 64.3%
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void table_point(benchmark::State& state, GvtKind gvt, const Workload& workload) {
+SimulationResult point(GvtKind gvt, const Workload& workload) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["gvt_round_s"] = result.gvt_round_seconds;
-  state.counters["gvt_block_thread_s"] = result.gvt_block_seconds;
-  state.counters["lock_wait_thread_s"] = result.lock_wait_seconds;
-  state.counters["remote_msgs"] = static_cast<double>(result.remote_msgs);
-  state.counters["regional_msgs"] = static_cast<double>(result.regional_msgs);
-  state.counters["stragglers"] = static_cast<double>(result.events.stragglers);
+  return core::run_phold(cfg, workload);
 }
 
-void BM_MatternComp(benchmark::State& state) {
-  table_point(state, GvtKind::kMattern, Workload::computation());
+void table_counters(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["gvt_round_s"] = r.gvt_round_seconds;
+  c["gvt_block_thread_s"] = r.gvt_block_seconds;
+  c["lock_wait_thread_s"] = r.lock_wait_seconds;
+  c["remote_msgs"] = static_cast<double>(r.remote_msgs);
+  c["regional_msgs"] = static_cast<double>(r.regional_msgs);
+  c["stragglers"] = static_cast<double>(r.events.stragglers);
 }
-void BM_MatternComm(benchmark::State& state) {
-  table_point(state, GvtKind::kMattern, Workload::communication());
-}
-void BM_BarrierComp(benchmark::State& state) {
-  table_point(state, GvtKind::kBarrier, Workload::computation());
-}
-void BM_BarrierComm(benchmark::State& state) {
-  table_point(state, GvtKind::kBarrier, Workload::communication());
-}
-
-BENCHMARK(BM_MatternComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatternComm)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BarrierComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BarrierComm)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("tab01")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  // One point per series, at 8 nodes: no axis.
+  return run_figure_main(
+      argc, argv, "tab01",
+      {{"BM_MatternComp",
+        [](const Args&) { return point(GvtKind::kMattern, Workload::computation()); }, Axis{},
+        table_counters},
+       {"BM_MatternComm",
+        [](const Args&) { return point(GvtKind::kMattern, Workload::communication()); },
+        Axis{}, table_counters},
+       {"BM_BarrierComp",
+        [](const Args&) { return point(GvtKind::kBarrier, Workload::computation()); }, Axis{},
+        table_counters},
+       {"BM_BarrierComm",
+        [](const Args&) { return point(GvtKind::kBarrier, Workload::communication()); },
+        Axis{}, table_counters}});
+}

@@ -15,8 +15,6 @@
 #include <cstdio>
 
 #include "figure_common.hpp"
-
-#include "bench_json.hpp"
 #include "obs/trace.hpp"
 
 namespace cagvt::bench {
@@ -30,6 +28,7 @@ struct Adaptivity {
 };
 
 /// Reduce the trace to the table row, printing one line per mode switch.
+/// Runs in the serial export step, so the lines come out in row order.
 Adaptivity scan_trace(const char* point, const obs::TraceRecorder& trace) {
   Adaptivity out;
   for (const obs::TraceRecord& rec : trace.records()) {
@@ -56,53 +55,58 @@ Adaptivity scan_trace(const char* point, const obs::TraceRecorder& trace) {
   return out;
 }
 
-void adaptivity_point(benchmark::State& state, const char* point,
-                      const Workload& workload) {
+SimulationResult point(GvtKind gvt, const Workload& workload) {
   SimulationConfig cfg = figure_config(8);
-  cfg.gvt = GvtKind::kControlledAsync;
-  cfg.obs.trace = true;  // the table is read back out of the trace records
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-
-  const Adaptivity adapt =
-      result.trace ? scan_trace(point, *result.trace) : Adaptivity{};
-  state.counters["mode_switches"] = static_cast<double>(adapt.mode_switches);
-  state.counters["sync_fraction_pct"] =
-      adapt.rounds == 0 ? 0.0
-                        : 100.0 * static_cast<double>(adapt.sync_rounds) /
-                              static_cast<double>(adapt.rounds);
-  state.counters["final_measured_eff_pct"] = adapt.final_efficiency * 100.0;
-  state.counters["avg_round_ms"] =
-      result.gvt_rounds == 0 ? 0.0 : 1000.0 * result.gvt_round_seconds /
-                                         static_cast<double>(result.gvt_rounds);
+  cfg.gvt = gvt;
+  // CA's table is read back out of the trace records.
+  cfg.obs.trace = gvt == GvtKind::kControlledAsync;
+  return core::run_phold(cfg, workload);
 }
 
-void BM_CaComp(benchmark::State& state) {
-  adaptivity_point(state, "comp", Workload::computation());
-}
-void BM_CaComm(benchmark::State& state) {
-  adaptivity_point(state, "comm", Workload::communication());
-}
-
-/// Per-round CPU comparison: Mattern's average round span under the same
-/// computation workload (paper: 4.4s vs CA's 4.78s per round).
-void BM_MatternCompRoundCost(benchmark::State& state) {
-  SimulationConfig cfg = figure_config(8);
-  cfg.gvt = GvtKind::kMattern;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_counters(state, result);
-  state.counters["avg_round_ms"] =
-      result.gvt_rounds == 0 ? 0.0 : 1000.0 * result.gvt_round_seconds /
-                                         static_cast<double>(result.gvt_rounds);
+/// Per-round CPU cost: the average round span.
+void round_cost_counter(const SimulationResult& r, benchmark::UserCounters& c) {
+  c["avg_round_ms"] = r.gvt_rounds == 0 ? 0.0
+                                        : 1000.0 * r.gvt_round_seconds /
+                                              static_cast<double>(r.gvt_rounds);
 }
 
-BENCHMARK(BM_CaComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CaComm)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatternCompRoundCost)->Iterations(1)->Unit(benchmark::kMillisecond);
+void adaptivity_counters(const char* point, const SimulationResult& r,
+                         benchmark::UserCounters& c) {
+  const Adaptivity adapt = r.trace ? scan_trace(point, *r.trace) : Adaptivity{};
+  c["mode_switches"] = static_cast<double>(adapt.mode_switches);
+  c["sync_fraction_pct"] = adapt.rounds == 0
+                               ? 0.0
+                               : 100.0 * static_cast<double>(adapt.sync_rounds) /
+                                     static_cast<double>(adapt.rounds);
+  c["final_measured_eff_pct"] = adapt.final_efficiency * 100.0;
+  round_cost_counter(r, c);
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("tab02")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  // One point per series, at 8 nodes: no axis. The Mattern series is the
+  // per-round CPU comparison under the same computation workload (paper:
+  // 4.4s vs CA's 4.78s per round).
+  return run_figure_main(
+      argc, argv, "tab02",
+      {{"BM_CaComp",
+        [](const Args&) { return point(GvtKind::kControlledAsync, Workload::computation()); },
+        Axis{},
+        [](const SimulationResult& r, benchmark::UserCounters& c) {
+          adaptivity_counters("comp", r, c);
+        }},
+       {"BM_CaComm",
+        [](const Args&) {
+          return point(GvtKind::kControlledAsync, Workload::communication());
+        },
+        Axis{},
+        [](const SimulationResult& r, benchmark::UserCounters& c) {
+          adaptivity_counters("comm", r, c);
+        }},
+       {"BM_MatternCompRoundCost",
+        [](const Args&) { return point(GvtKind::kMattern, Workload::computation()); }, Axis{},
+        round_cost_counter}});
+}

@@ -3,25 +3,29 @@
 
 Two input formats:
 
-  * google-benchmark console output (the historical path):
-        for b in build/bench/*; do echo "=== $(basename $b)"; $b; done > bench_output.txt
+  * google-benchmark console output:
+        for b in build/bench/{fig,tab,abl}[0-9][0-9]_*; do
+          echo "=== $(basename $b)"; CAGVT_BENCH_JSON=0 $b; done > bench_output.txt
         python3 scripts/bench_to_csv.py bench_output.txt > figures.csv
 
-  * machine-readable BENCH_*.json baselines written by the ablation
-    binaries (bench/bench_json.hpp). Any argument ending in .json is
-    parsed as a google-benchmark JSON report; several can be mixed:
+  * machine-readable BENCH_*.json reports, written by every bench binary
+    (bench/figure_common.hpp). Any argument ending in .json is parsed as a
+    google-benchmark JSON report; several can be mixed:
         python3 scripts/bench_to_csv.py BENCH_abl04.json BENCH_abl08.json > ablations.csv
 
 Columns: figure, series, x (nodes / interval / threshold / hot_factor /
 scenario), rate_events_s, efficiency_pct, rollbacks, gvt_rounds,
-sync_rounds, sim_wall_s, plus any extra counters present in JSON inputs
-(lvt_roughness, migrations, ...).
+sync_rounds, sim_wall_s, then every other counter the input rows carry
+(max_history, peak_pool, migrations, ...), in first-seen order; a row
+without one of them leaves its cell empty.
 """
 
 import json
 import os
 import re
 import sys
+
+from check_bench_baselines import IGNORED_KEYS
 
 ROW = re.compile(r"^(BM_\w+)((?:/(?!iterations:)\w+:\d+)*)/iterations:1\s")
 COUNTER = re.compile(r"(\w+)=([-\d.eku]+[MKGmu]?)")
@@ -38,24 +42,6 @@ FIELDS = [
     "sync_rounds",
     "sim_wall_s",
 ]
-
-# Extra counters exported only by some binaries (abl08's migration
-# metrics, abl09's conservative update statistics); emitted as trailing
-# columns when any input provides them.
-EXTRA_FIELDS = [
-    "lvt_roughness",
-    "migrations",
-    "migration_rounds",
-    "forwards",
-    "owner_table_version",
-    "fault_activations",
-    "cons_utilization",
-    "cons_null_ratio",
-    "cons_horizon_width",
-    "null_msgs",
-    "req_msgs",
-]
-
 
 def parse_value(text: str) -> float:
     if text and text[-1] in SUFFIX:
@@ -103,7 +89,7 @@ def rows_from_json(path: str):
         counters = {
             key: value
             for key, value in bench.items()
-            if isinstance(value, (int, float)) and not key.startswith("per_family")
+            if isinstance(value, (int, float)) and key not in IGNORED_KEYS
         }
         yield figure, series, x, counters
 
@@ -114,8 +100,10 @@ def main(paths: list[str]) -> None:
         reader = rows_from_json if path.endswith(".json") else rows_from_console
         rows.extend(reader(path))
 
-    extras = [f for f in EXTRA_FIELDS if any(f in c for _, _, _, c in rows)]
-    fields = FIELDS + extras
+    # dict.fromkeys keeps first-seen order while dropping duplicates.
+    extras = dict.fromkeys(key for _, _, _, counters in rows for key in counters
+                           if key not in FIELDS)
+    fields = FIELDS + list(extras)
     print("figure,series,x," + ",".join(fields))
     for figure, series, x, counters in rows:
         values = []

@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
 """Check the committed bench baselines: present, and (optionally) not drifted.
 
-Every bench source that uses CAGVT_BENCH_MAIN_WITH_JSON("<figure>") or
-run_figure_main(..., "<figure>", ...) writes BENCH_<figure>.json on each run
-(bench/bench_json.hpp). Those reports are the perf-trajectory baselines CI
-diffs against, so each advertised figure must have its baseline checked in
-at the repository root. This guard scans bench/*.cpp for advertised figure
-names and errors on any missing (or unparseable) BENCH_<figure>.json.
+Every bench binary runs through run_figure_main(argc, argv, "<figure>", ...)
+(bench/figure_common.hpp) and writes BENCH_<figure>.json on each run.
+Those reports are the perf-trajectory baselines CI diffs against, so each
+advertised figure must have its baseline checked in at the repository root.
+This guard scans bench/*.cpp for advertised figure names and errors on any
+missing (or unparseable) BENCH_<figure>.json.
 
-With --rerun it is also a drift gate: it runs every advertised figure's bench
-binary (or only those --only names) from BUILD_DIR/bench with
-CAGVT_BENCH_JSON_DIR pointing at a temporary directory
-and, for every row the rerun produces, requires exact equality on every
-counter the committed baseline has for that row. Host timings and
-google-benchmark's bookkeeping keys are ignored. Counters the baseline lacks
-are listed but do not fail the check. The coroutine backend is
-deterministic, so any difference is a behaviour change.
+With --rerun it is also a two-sided drift gate: it runs every advertised
+figure's bench binary (or only those --only names) from BUILD_DIR/bench with
+CAGVT_BENCH_JSON_DIR pointing at a temporary directory, at the default
+CAGVT_BENCH_SCALE and with CAGVT_ABL11_STRESS=1 (so abl11's 128/256-node
+rows are reproduced too), and fails when
+  * a baseline row is not reproduced, or the rerun has a row the baseline
+    lacks;
+  * a rerun row lacks one of its baseline row's counters;
+  * a counter the two share differs in value.
+Host timings and google-benchmark's bookkeeping keys (IGNORED_KEYS) are not
+counters. Counters the rerun has but the baseline lacks are listed but do
+not fail the check. The coroutine backend is deterministic, so any
+difference is a behaviour change.
 
 Usage:
     python3 scripts/check_bench_baselines.py [repo_root]
@@ -24,7 +29,7 @@ Usage:
         --only tab02,abl09,abl10,abl11
 
 Exit codes: 0 all baselines present and valid JSON (and, with --rerun,
-every rerun counter equal to its baseline), 1 otherwise.
+every baseline row and counter reproduced exactly), 1 otherwise.
 """
 
 import argparse
@@ -35,7 +40,6 @@ import subprocess
 import sys
 import tempfile
 
-MACRO = re.compile(r'CAGVT_BENCH_MAIN_WITH_JSON\("([^"]+)"\)')
 FIGURE_MAIN = re.compile(r'run_figure_main\(\s*argc,\s*argv,\s*"([^"]+)"')
 # Row keys that are not simulation counters: host timings and
 # google-benchmark's own bookkeeping.
@@ -54,10 +58,43 @@ def advertised_figures(bench_dir):
             continue
         with open(os.path.join(bench_dir, fname)) as f:
             src = f.read()
-        for pattern in (MACRO, FIGURE_MAIN):
-            for figure in pattern.findall(src):
-                figures[figure] = fname
+        for figure in FIGURE_MAIN.findall(src):
+            figures[figure] = fname
     return figures
+
+
+def counter_keys(row):
+    return {key for key in row if key not in IGNORED_KEYS}
+
+
+def compare_rows(figure, baseline_rows, rerun_rows):
+    """Two-sided comparison of one figure's rows; returns drift messages."""
+    failures = []
+    baseline = {row["name"]: row for row in baseline_rows}
+    rerun = {row["name"]: row for row in rerun_rows}
+    for name in sorted(baseline.keys() - rerun.keys()):
+        failures.append(f"{figure}: baseline row {name} was not reproduced")
+    for name in sorted(rerun.keys() - baseline.keys()):
+        failures.append(f"{figure}: row {name} is not in the baseline")
+    unchecked = set()
+    equal_keys = 0
+    for name in sorted(baseline.keys() & rerun.keys()):
+        want, got = baseline[name], rerun[name]
+        want_keys, got_keys = counter_keys(want), counter_keys(got)
+        for key in sorted(want_keys - got_keys):
+            failures.append(f"{figure}: {name} lacks baseline counter {key}")
+        unchecked |= got_keys - want_keys
+        equal_keys += want_keys == got_keys
+        for key in sorted(want_keys & got_keys):
+            if want[key] != got[key]:
+                failures.append(f"{figure}: {name} {key}: baseline "
+                                f"{want[key]!r}, rerun {got[key]!r}")
+    if unchecked:
+        print(f"check_bench_baselines: {figure}: counters not in the baseline "
+              f"(not checked): {', '.join(sorted(unchecked))}")
+    print(f"check_bench_baselines: {figure}: reran {len(rerun)} of "
+          f"{len(baseline)} baseline rows; counter keys equal on {equal_keys}")
+    return failures
 
 
 def rerun_failures(root, build_dir, figures, only):
@@ -71,10 +108,12 @@ def rerun_failures(root, build_dir, figures, only):
         binary = os.path.join(build_dir, "bench",
                               os.path.splitext(figures[figure])[0])
         with open(os.path.join(root, f"BENCH_{figure}.json")) as f:
-            baseline = {row["name"]: row for row in json.load(f)["benchmarks"]}
+            baseline = json.load(f)["benchmarks"]
         with tempfile.TemporaryDirectory() as tmp:
-            env = dict(os.environ, CAGVT_BENCH_JSON_DIR=tmp)
+            # Baselines record the default scale with abl11's stress sizes.
+            env = dict(os.environ, CAGVT_BENCH_JSON_DIR=tmp, CAGVT_ABL11_STRESS="1")
             env.pop("CAGVT_BENCH_JSON", None)
+            env.pop("CAGVT_BENCH_SCALE", None)
             try:
                 proc = subprocess.run([binary], env=env, stdout=subprocess.DEVNULL,
                                       stderr=subprocess.PIPE, text=True)
@@ -87,24 +126,7 @@ def rerun_failures(root, build_dir, figures, only):
                 continue
             with open(os.path.join(tmp, f"BENCH_{figure}.json")) as f:
                 rows = json.load(f)["benchmarks"]
-        missing = set()
-        for row in rows:
-            want = baseline.get(row["name"])
-            if want is None:
-                failures.append(f"{figure}: row {row['name']} is not in the baseline")
-                continue
-            for key, value in sorted(row.items()):
-                if key in IGNORED_KEYS:
-                    continue
-                if key not in want:
-                    missing.add(key)
-                elif want[key] != value:
-                    failures.append(f"{figure}: {row['name']} {key}: baseline "
-                                    f"{want[key]!r}, rerun {value!r}")
-        if missing:
-            print(f"check_bench_baselines: {figure}: counters not in the baseline "
-                  f"(not checked): {', '.join(sorted(missing))}")
-        print(f"check_bench_baselines: {figure}: reran {len(rows)} rows")
+        failures += compare_rows(figure, baseline, rows)
     return failures
 
 
